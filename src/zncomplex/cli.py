@@ -35,7 +35,7 @@ def _cmd_build_w(args) -> int:
 
 
 def _cmd_build_x(args) -> int:
-    complex_ = construction.build_x(args.m, seed=args.seed)
+    complex_ = construction.build_x(args.m)
     simplicial.write_scx(complex_, args.output)
     print(f"wrote {args.output}: {complex_.vertex_count} vertices")
     return 0
@@ -78,12 +78,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_orth(args) -> int:
-    pair = factorization.orthogonal_pair(args.size, seed=args.seed)
+    pair = factorization.orthogonal_pair(args.size)
     factorization.write_pair(pair, args.output)
-    report = factorization.verify_orthogonal_pair(pair)
-    if not report:
-        print(f"witness: {report.witness}")
-        return 1
     print(f"wrote {args.output}: orthogonal pair of size {args.size}")
     return 0
 
@@ -150,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-x", help="build the collapsed complex")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_build_x)
 
@@ -172,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orth", help="orthogonal pair of 1-factorizations")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_orth)
 

@@ -157,11 +157,11 @@ class CollapseTrace:
     vertex_map: dict[int, int]
 
 
-def build_x_trace(m: int, seed: int = 0) -> CollapseTrace:
+def build_x_trace(m: int) -> CollapseTrace:
     """Collapse every spur of the orthogonal-pair partition, in order."""
     n, parity = _split_m(m)
     complex_, labeling = build_w(m)
-    pair = orthogonal_pair(2 * n, seed=seed)
+    pair = orthogonal_pair(2 * n)
     spurs = build_spurs(n, parity, pair, labeling)
     current = complex_
     total = {v: v for v in range(complex_.vertex_count)}
@@ -180,6 +180,6 @@ def build_x_trace(m: int, seed: int = 0) -> CollapseTrace:
                          result=current, vertex_map=total)
 
 
-def build_x(m: int, seed: int = 0) -> SimplicialComplex:
+def build_x(m: int) -> SimplicialComplex:
     """The collapsed complex: 8n - 1 vertices for m = 2n, 8n - 3 for m = 2n - 1."""
-    return build_x_trace(m, seed=seed).result
+    return build_x_trace(m).result

@@ -3,7 +3,13 @@
 Points are labeled 1..2n.  A 1-factorization partitions the edge set of the
 complete graph into 2n-1 perfect matchings; two factorizations are orthogonal
 when no two edges share a matching in both.  Orthogonal pairs exist for all
-sizes 2n except 4 and 6.
+sizes 2n except 4 and 6 (Mullin & Wallis, 1975).
+
+One construction serves every size: the round-robin factorization, which is
+the development of the patterned starter {-s, s} in Z_{2n-1}, paired with the
+development of a strong starter in Z_{2n-1}.  The starter argument holds in
+Z_m for any odd m, prime or not.  Z_9 has no strong starter, so size 10 uses
+one stored pair instead.  Sizes up to 48 are covered.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import UnsupportedSizeError
+from .errors import PipelineStageError, UnsupportedSizeError
 from .simplicial import CheckReport
 
 Edge = tuple[int, int]
@@ -85,21 +91,13 @@ def validate_factorization(fact: OneFactorization) -> CheckReport:
 def round_robin_factorization(size: int) -> OneFactorization:
     """Circle-method factorization: point `size` fixed, the rest rotating.
 
-    Round r pairs the fixed point with the rotation center r and pairs r-s
-    with r+s around the circle on 1..size-1 (residue 0 is labeled size-1).
+    It is the development of the patterned starter {-s, s}, s = 1..size/2-1,
+    in Z_{size-1}: round r pairs the fixed point with r and r-s with r+s.
     """
     if size < 2 or size % 2:
         raise ValueError(f"size must be an even integer >= 2, got {size}")
     m = size - 1
-    rounds = []
-    for r in range(m):
-        edges = [_edge(size, r % m or m)]
-        for s in range(1, size // 2):
-            a = (r - s) % m or m
-            b = (r + s) % m or m
-            edges.append(_edge(a, b))
-        rounds.append(frozenset(edges))
-    return OneFactorization(size, tuple(rounds))
+    return _starter_factorization([(-s % m, s) for s in range(1, size // 2)], size)
 
 
 def verify_orthogonal_pair(pair: OrthogonalPair) -> OrthogonalityReport:
@@ -118,12 +116,6 @@ def verify_orthogonal_pair(pair: OrthogonalPair) -> OrthogonalityReport:
                 if shared is not None and shared == second_index.get(e2):
                     return OrthogonalityReport(False, (e, e2, idx, shared))
     return OrthogonalityReport(True)
-
-
-def _is_odd_prime(m: int) -> bool:
-    if m < 3 or m % 2 == 0:
-        return False
-    return all(m % d for d in range(3, int(m ** 0.5) + 1, 2))
 
 
 def _starter_factorization(pairs: list[tuple[int, int]], size: int) -> OneFactorization:
@@ -145,20 +137,20 @@ def _starter_factorization(pairs: list[tuple[int, int]], size: int) -> OneFactor
     return OneFactorization(size, tuple(rounds))
 
 
-def _patterned_starter(m: int) -> list[tuple[int, int]]:
-    return [((-s) % m, s) for s in range(1, (m - 1) // 2 + 1)]
+def _strong_starter(m: int) -> list[tuple[int, int]] | None:
+    """Starter in Z_m, for any odd m, whose pair sums are distinct and nonzero.
 
-
-def _strong_starter(m: int, seed: int) -> list[tuple[int, int]] | None:
-    """Starter in Z_m whose pair sums are distinct and nonzero.
-
-    Such a starter generates a factorization orthogonal to the patterned one:
-    two translated pairs land on {x, -x}-type pairs of a common translate
-    exactly when their sums collide, and a sum of zero collides with the
-    untranslated patterned matching itself.  Depth-first search over the
-    difference classes 1..(m-1)/2; the seed only shuffles candidate order.
+    Such a starter generates a factorization orthogonal to the patterned one
+    (the round-robin factorization): two translated pairs land on
+    {x, -x}-type pairs of a common translate exactly when their sums
+    collide, and a sum of zero collides with the untranslated patterned
+    matching itself.  Nothing in this argument needs m to be prime.  Z_3,
+    Z_5 and Z_9 have no strong starter; for every other odd m up to 47 the
+    search finds one, and None means it found none.  Depth-first search
+    over the difference classes 1..(m-1)/2, with candidates in a fixed
+    pseudo-random order.
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     used: set[int] = set()
     sums: set[int] = set()
     pairs: list[tuple[int, int]] = []
@@ -186,99 +178,55 @@ def _strong_starter(m: int, seed: int) -> list[tuple[int, int]] | None:
     return pairs if place(1) else None
 
 
-def _backtracking_mate(first: OneFactorization, seed: int) -> OneFactorization | None:
-    """Search for a factorization orthogonal to `first`.
-
-    Matchings are built one at a time; each new matching is anchored at the
-    smallest edge not yet used (killing the symmetry of reordering color
-    classes) and extended from the smallest uncovered point.  Within a
-    matching no two edges may come from the same matching of `first`.
-    """
-    size = first.size
-    first_class: dict[Edge, int] = {}
-    for idx, matching in enumerate(first.matchings):
-        for edge in matching:
-            first_class[edge] = idx
-    edges = all_edges(size)
-    rng = random.Random(seed)
-    used: set[Edge] = set()
-    result: list[Matching] = []
-
-    def complete(current: list[Edge], covered: set[int], classes: set[int]) -> bool:
-        if len(covered) == size:
-            matching = frozenset(current)
-            for e in matching:
-                used.add(e)
-            result.append(matching)
-            if extend():
-                return True
-            result.pop()
-            for e in matching:
-                used.discard(e)
-            return False
-        v = min(p for p in range(1, size + 1) if p not in covered)
-        partners = [w for w in range(1, size + 1) if w != v and w not in covered]
-        rng.shuffle(partners)
-        for w in partners:
-            e = _edge(v, w)
-            cls = first_class[e]
-            if e in used or cls in classes:
-                continue
-            current.append(e)
-            covered.update(e)
-            classes.add(cls)
-            if complete(current, covered, classes):
-                return True
-            current.pop()
-            covered.difference_update(e)
-            classes.discard(cls)
-        return False
-
-    def extend() -> bool:
-        if len(result) == size - 1:
-            return True
-        anchor = next(e for e in edges if e not in used)
-        return complete([anchor], set(anchor), {first_class[anchor]})
-
-    if extend():
-        return OneFactorization(size, tuple(result))
-    return None
+# Z_9 has no strong starter, so size 10 keeps one stored mate of the
+# round-robin factorization.
+_SIZE_10_MATE = """
+1-2 3-8 4-5 6-9 7-10
+1-3 2-7 4-6 5-9 8-10
+1-4 2-9 3-5 6-10 7-8
+1-5 2-6 3-7 4-8 9-10
+1-6 2-3 4-7 5-10 8-9
+1-7 2-8 3-10 4-9 5-6
+1-8 2-5 3-9 4-10 6-7
+1-9 2-10 3-4 5-7 6-8
+1-10 2-4 3-6 5-8 7-9
+"""
 
 
-def orthogonal_pair(size: int, seed: int = 0) -> OrthogonalPair:
+def orthogonal_pair(size: int) -> OrthogonalPair:
     """Deterministic orthogonal pair of 1-factorizations of K_size.
 
     Sizes 4 and 6 are the genuinely impossible cases and raise
-    UnsupportedSizeError.  When size-1 is an odd prime the pair comes from
-    the patterned starter and a strong starter; otherwise the second
-    factorization is found by backtracking against the round-robin one.
-    The seed only controls search value ordering.
+    UnsupportedSizeError.  The first factorization is always the
+    round-robin one.  Its mate is the same factorization for size 2 (the
+    pair is vacuously orthogonal), a stored factorization for size 10, and
+    otherwise the development of a strong starter in Z_{size-1}.  Every
+    even size from 2 to 48 except 4 and 6 is covered.  The pair is checked
+    once before it is returned; a failure raises PipelineStageError with
+    the witness.
     """
     if size < 2 or size % 2:
         raise ValueError(f"size must be an even integer >= 2, got {size}")
     if size in (4, 6):
         raise UnsupportedSizeError(
             f"no orthogonal pair of 1-factorizations of K_{size} exists")
-    if size == 2:
-        fact = round_robin_factorization(2)
-        return OrthogonalPair(fact, fact)
-    m = size - 1
-    if _is_odd_prime(m):
-        strong = _strong_starter(m, seed)
-        if strong is not None:
-            pair = OrthogonalPair(
-                _starter_factorization(_patterned_starter(m), size),
-                _starter_factorization(strong, size))
-            if verify_orthogonal_pair(pair):
-                return pair
     first = round_robin_factorization(size)
-    second = _backtracking_mate(first, seed)
-    if second is None:
-        raise UnsupportedSizeError(
-            f"search exhausted without an orthogonal mate for size {size}")
+    if size == 2:
+        second = first
+    elif size == 10:
+        second = loads_factorization(_SIZE_10_MATE, size=10)
+    else:
+        strong = _strong_starter(size - 1)
+        if strong is None:
+            raise UnsupportedSizeError(f"no strong starter in Z_{size - 1}")
+        second = _starter_factorization(strong, size)
     pair = OrthogonalPair(first, second)
     report = verify_orthogonal_pair(pair)
-    assert report, f"search returned a non-orthogonal pair: {report.witness}"
+    if not report:
+        raise PipelineStageError("orthogonal pair",
+                                 f"size {size} pair is not orthogonal, "
+                                 f"witness {report.witness}",
+                                 report.witness)
     return pair
 
 

@@ -15,10 +15,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(m: int, n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(m)]
-
-
 def transpose(matrix) -> list[list[int]]:
     if not matrix:
         return []
@@ -34,6 +30,14 @@ def mat_mul(a, b) -> list[list[int]]:
 
 def mat_vec(a, v) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def is_parallel(u, v) -> bool:
+    """Nonzero vectors on one line through the origin (all 2x2 minors vanish)."""
+    if not any(u) or not any(v):
+        return False
+    n = len(u)
+    return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
 
 
 @dataclass(frozen=True)

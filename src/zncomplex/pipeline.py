@@ -69,9 +69,9 @@ class UpperReport:
         return "\n".join(lines) + "\n"
 
 
-def run_upper(m: int, seed: int = 0) -> UpperReport:
+def run_upper(m: int) -> UpperReport:
     """Build the collapsed complex for m and re-verify every claimed property."""
-    trace = build_x_trace(m, seed=seed)
+    trace = build_x_trace(m)
     checks = []
     expected = 8 * trace.n - (1 if trace.parity == "even" else 3)
     checks.append(Check(

@@ -20,6 +20,7 @@ from .errors import NotFreeAbelianError, SparsityError, TooLongError
 from .hyperforest import hyperforest_report
 from .intlinalg import (
     invert_unimodular,
+    is_parallel,
     plane_key,
     rank_of_rows,
     saturation_completion,
@@ -45,7 +46,7 @@ class Presentation:
             for g, e in word:
                 if g not in declared:
                     raise ValueError(f"relation uses undeclared generator {g!r}")
-                if not isinstance(e, int) or e == 0:
+                if type(e) is not int or e == 0:
                     raise ValueError(f"exponent must be a nonzero integer, got {e!r}")
 
 
@@ -240,10 +241,6 @@ def subset_dimension(phi: AbelianMap, generators) -> int:
     return rank_of_rows(rows)
 
 
-def relation_dimension(pres: Presentation, phi: AbelianMap, index: int) -> int:
-    return subset_dimension(phi, normalize(pres.relations[index]).support)
-
-
 def relations_on(pres: Presentation, rel_indices, generators) -> tuple[int, ...]:
     """Indices of the relations whose normal form uses only these generators."""
     allowed = set(generators)
@@ -334,13 +331,6 @@ def replace2(pres: Presentation, phi: AbelianMap, g: str, h: str,
     return Presentation(generators, tuple(relations)), AbelianMap(phi.rank, images)
 
 
-def _is_parallel(u, v) -> bool:
-    if not any(u) or not any(v):
-        return False
-    n = len(u)
-    return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
-
-
 def _coprime_dependency(u, v) -> tuple[int, int]:
     """Coprime (a, b) with a*u + b*v = 0 for parallel nonzero integer vectors."""
     content = 0
@@ -381,7 +371,7 @@ def minimize(pres: Presentation) -> tuple[Presentation, AbelianMap]:
         pair = None
         for i, g in enumerate(pres.generators):
             for h in pres.generators[i + 1:]:
-                if _is_parallel(phi.vector(g), phi.vector(h)):
+                if is_parallel(phi.vector(g), phi.vector(h)):
                     pair = (g, h)
                     break
             if pair:
@@ -771,10 +761,21 @@ def to_json_dict(pres: Presentation) -> dict:
     }
 
 
-def from_json_dict(data: dict) -> Presentation:
+def from_json_dict(data) -> Presentation:
+    """Parse the JSON form; any structural problem raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("presentation must be a JSON object")
+    for key in ("generators", "relations"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"presentation needs a {key!r} list")
+    for rel in data["relations"]:
+        if not isinstance(rel, list) or not all(
+                isinstance(s, list) and len(s) == 2 for s in rel):
+            raise ValueError(
+                f"relation {rel!r} is not a list of [generator, exponent] pairs")
     generators = tuple(str(g) for g in data["generators"])
     relations = tuple(
-        tuple((str(g), int(e)) for g, e in rel) for rel in data["relations"])
+        tuple((str(g), e) for g, e in rel) for rel in data["relations"])
     return Presentation(generators, relations)
 
 

@@ -17,7 +17,7 @@ from math import gcd
 
 from .errors import SgHypothesisError
 from .hyperforest import hyperforest_report
-from .intlinalg import plane_key, rank_of_rows
+from .intlinalg import is_parallel, plane_key, rank_of_rows
 from .simplicial import CheckReport
 
 
@@ -42,11 +42,6 @@ def config(points, dimension: int | None = None) -> PointConfig:
     return PointConfig(dimension, pts)
 
 
-def _is_parallel(u, v) -> bool:
-    n = len(u)
-    return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
-
-
 def linear_mode_report(cfg: PointConfig) -> CheckReport:
     """Nonzero integer points, pairwise distinct lines through the origin."""
     violations = []
@@ -58,7 +53,7 @@ def linear_mode_report(cfg: PointConfig) -> CheckReport:
     for i in range(len(cfg.points)):
         for j in range(i + 1, len(cfg.points)):
             u, v = cfg.points[i], cfg.points[j]
-            if any(u) and any(v) and _is_parallel(u, v):
+            if is_parallel(u, v):
                 violations.append(
                     f"points {i} and {j} share a 1-dimensional subspace")
     return CheckReport(not violations, tuple(violations))
@@ -306,29 +301,20 @@ def points_to_json(cfg: PointConfig) -> dict:
             "points": [[int(x) for x in p] for p in cfg.points]}
 
 
-def points_from_json(data: dict) -> PointConfig:
-    return config(data["points"], dimension=int(data["dimension"]))
+def points_from_json(data) -> PointConfig:
+    """Parse the JSON form; any structural problem raises ValueError."""
+    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
+        raise ValueError("points file must be a JSON object with a 'points' list")
+    dimension = data.get("dimension")
+    if type(dimension) is not int or dimension < 1:
+        raise ValueError(
+            f"points file needs a positive integer 'dimension', got {dimension!r}")
+    for p in data["points"]:
+        if not isinstance(p, list) or any(type(x) is not int for x in p):
+            raise ValueError(f"point {p!r} is not a list of integers")
+    return config(data["points"], dimension=dimension)
 
 
 def read_points(path) -> PointConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return points_from_json(json.load(fh))
-
-
-def write_points(cfg: PointConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(points_to_json(cfg), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def hypergraph_to_json(graph: Hypergraph3) -> dict:
-    return {"edges": [sorted(e) for e in graph.edges]}
-
-
-def hypergraph_from_json(data: dict, num_vertices: int | None = None) -> Hypergraph3:
-    return hypergraph(data["edges"], num_vertices)
-
-
-def read_hypergraph(path, num_vertices: int | None = None) -> Hypergraph3:
-    with open(path, "r", encoding="utf-8") as fh:
-        return hypergraph_from_json(json.load(fh), num_vertices)

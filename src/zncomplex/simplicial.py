@@ -8,7 +8,7 @@ nothing mutates a complex in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -60,18 +60,18 @@ class SimplicialComplex:
         return tuple(sorted((a, b))) in self.faces
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return _adjacency(self).get(v, frozenset())
+        return self._adjacency.get(v, frozenset())
 
-
-@lru_cache(maxsize=256)
-def _adjacency(complex_: SimplicialComplex) -> dict[int, frozenset[int]]:
-    out: dict[int, set[int]] = {}
-    for f in complex_.faces:
-        if len(f) == 2:
-            a, b = f
-            out.setdefault(a, set()).add(b)
-            out.setdefault(b, set()).add(a)
-    return {v: frozenset(s) for v, s in out.items()}
+    @cached_property
+    def _adjacency(self) -> dict[int, frozenset[int]]:
+        """Vertex -> neighbor set, computed once per complex."""
+        out: dict[int, set[int]] = {}
+        for f in self.faces:
+            if len(f) == 2:
+                a, b = f
+                out.setdefault(a, set()).add(b)
+                out.setdefault(b, set()).add(a)
+        return {v: frozenset(s) for v, s in out.items()}
 
 
 def closure_of(faces: Iterable[Iterable[int]]) -> frozenset[Face]:

@@ -224,3 +224,10 @@ def test_trace_vertex_map_covers_originals():
     for spur in trace.spurs:
         images = {trace.vertex_map[v] for v in spur.members}
         assert len(images) <= 1
+
+
+@pytest.mark.parametrize("m, expected", [(27, 109), (28, 111)])
+def test_x_large_sizes(m, expected):
+    complex_ = build_x(m)
+    assert complex_.vertex_count == expected
+    assert validate(complex_)

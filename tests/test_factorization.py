@@ -1,9 +1,14 @@
 """1-factorizations and orthogonal pairs."""
 
+import hashlib
+import time
+
 import pytest
 
-from zncomplex.errors import UnsupportedSizeError
+from zncomplex import factorization
+from zncomplex.errors import PipelineStageError, UnsupportedSizeError
 from zncomplex.factorization import (
+    OrthogonalityReport,
     OrthogonalPair,
     all_edges,
     dumps_pair,
@@ -61,8 +66,53 @@ def test_orthogonal_pair_rejects_odd():
 
 
 def test_orthogonal_pair_deterministic():
-    assert orthogonal_pair(10, seed=3) == orthogonal_pair(10, seed=3)
-    assert orthogonal_pair(16, seed=0) == orthogonal_pair(16, seed=0)
+    assert orthogonal_pair(10) == orthogonal_pair(10)
+    assert orthogonal_pair(16) == orthogonal_pair(16)
+
+
+def test_orthogonal_pair_every_size_to_48():
+    start = time.monotonic()
+    for size in range(2, 49, 2):
+        if size in (4, 6):
+            continue
+        pair = orthogonal_pair(size)
+        assert validate_factorization(pair.first), size
+        assert validate_factorization(pair.second), size
+        assert verify_orthogonal_pair(pair), size
+    elapsed = time.monotonic() - start
+    assert elapsed < 30, f"sweep took {elapsed:.1f}s, budget 30s"
+
+
+# SHA-256 of dumps_pair(orthogonal_pair(size)), fixed since the pairs for
+# these sizes feed X_m and the presentations P_m built from them.
+PAIR_DIGESTS = {
+    2: "19e3a863b9312987bc5356f06b6796379e30e09b7ffdca01d668b8a409b033dd",
+    8: "8fd1828690c3cd1b987271f758c6e337208331148e66a4d01856a99431af4bb5",
+    10: "0b7bcc196a390a5435977f988b70e473159672f5ed1a74b5bb5b91779e6b3991",
+    12: "f4da11da5ad274e0793486c4a1c38be9b568e2e9fd4e924ac92807ee1b144da7",
+    14: "79aab1143b3568a6b4b92bb3dcaad311897363fc8ed168635257e252b3fec5b6",
+}
+
+
+@pytest.mark.parametrize("size", sorted(PAIR_DIGESTS))
+def test_orthogonal_pair_pinned(size):
+    text = dumps_pair(orthogonal_pair(size))
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIR_DIGESTS[size]
+
+
+def test_orthogonal_pair_verified_once(monkeypatch):
+    calls = []
+    witness = ((1, 2), (3, 4), 0, 0)
+
+    def failing(pair):
+        calls.append(pair)
+        return OrthogonalityReport(False, witness)
+
+    monkeypatch.setattr(factorization, "verify_orthogonal_pair", failing)
+    with pytest.raises(PipelineStageError) as info:
+        orthogonal_pair(12)
+    assert len(calls) == 1
+    assert info.value.witness == witness
 
 
 def test_self_pair_not_orthogonal_for_size_8():

@@ -138,3 +138,18 @@ def test_cli_pipeline_torsion_is_check_failure(tmp_path):
     bad.write_text(dumps_presentation(
         Presentation(("g",), ((("g", 2),),))))
     assert main(["pipeline", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("command, text", [
+    ("reduce", '{"generators": ["a"]}'),
+    ("reduce", "[]"),
+    ("reduce", '{"generators": ["a"], "relations": [[["a", true]]]}'),
+    ("sg-check", '{"points": [[1, 0], [0, 1]]}'),
+], ids=["missing-relations", "top-level-list", "bool-exponent", "missing-dimension"])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    extra = ["--delta", "1"] if command == "sg-check" else []
+    assert main([command, str(bad)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

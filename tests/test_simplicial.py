@@ -1,6 +1,8 @@
 """Complex validation, the text format, homology, and spur collapses."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -198,3 +200,12 @@ def test_collapse_requires_spur():
     complex_ = from_maximal_faces([(0, 1), (1, 2), (0, 2)])
     with pytest.raises(SpurError):
         collapse_spur(complex_, 0, {1, 2})
+
+
+def test_neighbors_do_not_keep_the_complex_alive():
+    complex_ = circle(5)
+    assert complex_.neighbors(0) == {1, 4}
+    ref = weakref.ref(complex_)
+    del complex_
+    gc.collect()
+    assert ref() is None
