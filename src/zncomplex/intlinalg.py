@@ -1,13 +1,20 @@
 """Exact integer linear algebra: Smith normal form, ranks, lattice bases.
 
 Everything here works with arbitrary-precision Python integers; there is no
-floating point.  Matrices are plain lists of lists (rows).
+floating point.  Matrices are plain lists of lists (rows), except for
+sparse_snf, which takes sparse columns.
+
+Homology (simplicial.homology and homology_through) uses sparse_snf: it
+eliminates unit pivots in Markowitz order and hands only what is left to
+smith_normal_form.  smith_normal_form, with its optional transforms, serves
+every caller that needs the left or right matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -233,6 +240,86 @@ def smith_normal_form(matrix, want_left: bool = False,
         right=tuple(tuple(r) for r in transpose(right_t))
         if right_t is not None else None,
     )
+
+
+def sparse_snf(columns, row_count: int) -> SnfResult:
+    """Smith normal form of a sparse integer matrix, without transforms.
+
+    columns[j] maps a row index in 0..row_count-1 to the entry of column j;
+    absent and zero entries are zero.  The result equals
+    smith_normal_form(dense).diagonal and .rank, because the Smith diagonal
+    is unique.
+
+    Every +-1 entry is a candidate pivot, taken cheapest first by its
+    Markowitz cost (row count - 1) * (column count - 1).  A lazy heap holds
+    the candidates: a popped cost that has since grown is pushed back with
+    its current value, and entries that fill in as +-1 are pushed as they
+    appear.  Eliminating a unit pivot takes row and column out and leaves a
+    1 on the diagonal (Dumas, Saunders & Villard 2001).  Once no unit is
+    left, smith_normal_form diagonalizes the dense remainder, if there is
+    one.
+    """
+    cols: list[dict[int, int]] = []
+    rows: list[dict[int, int]] = [{} for _ in range(row_count)]
+    for j, column in enumerate(columns):
+        col = {}
+        for i, v in column.items():
+            if not 0 <= i < row_count:
+                raise ValueError(f"row index {i} outside 0..{row_count - 1}")
+            if v:
+                col[i] = rows[i][j] = int(v)
+        cols.append(col)
+
+    heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j)
+            for j, col in enumerate(cols) for i, v in col.items()
+            if v == 1 or v == -1]
+    heapify(heap)
+    units = 0
+    while heap:
+        cost, i, j = heappop(heap)
+        pivot_row = rows[i]
+        p = pivot_row.get(j)
+        if p != 1 and p != -1:
+            continue  # eliminated or changed since it was pushed
+        pivot_col = cols[j]
+        now = (len(pivot_row) - 1) * (len(pivot_col) - 1)
+        if now > cost:
+            heappush(heap, (now, i, j))
+            continue
+        units += 1
+        rows[i] = {}
+        cols[j] = {}
+        for c in pivot_row:
+            if c != j:
+                del cols[c][i]
+        for r, a in pivot_col.items():
+            if r == i:
+                continue
+            # row r -= (a / p) * pivot row; 1 / p == p for a unit.
+            q = a * p
+            row = rows[r]
+            del row[j]
+            for c, b in pivot_row.items():
+                if c == j:
+                    continue
+                v = row.get(c, 0) - q * b
+                if v:
+                    row[c] = cols[c][r] = v
+                    if v == 1 or v == -1:
+                        heappush(heap, ((len(row) - 1) * (len(cols[c]) - 1), r, c))
+                elif c in row:
+                    del row[c]
+                    del cols[c][r]
+
+    live_cols = [j for j, col in enumerate(cols) if col]
+    rest = [[row.get(j, 0) for j in live_cols] for row in rows if row]
+    nonzero = (1,) * units
+    if rest:
+        remainder = smith_normal_form(rest)
+        nonzero += remainder.diagonal[:remainder.rank]
+    limit = min(row_count, len(cols))
+    return SnfResult(diagonal=nonzero + (0,) * (limit - len(nonzero)),
+                     rank=len(nonzero))
 
 
 def rank_of_rows(rows) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .construction import CollapseTrace, build_x_trace
@@ -22,7 +23,6 @@ from .errors import (
     TooLongError,
 )
 from .presentation import (
-    AbelianMap,
     Presentation,
     SparsityPartition,
     abelian_images,
@@ -35,7 +35,7 @@ from .presentation import (
     subset_dimension,
 )
 from .sg import Hypergraph3, config, sg_reduce
-from .simplicial import homology_through, is_spur, are_compatible
+from .simplicial import _compatible, homology_through, is_spur
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,10 @@ def run_upper(m: int) -> UpperReport:
     spur_ok = all(is_spur(trace.start, s.base, s.members) for s in trace.spurs)
     checks.append(Check("every set is a spur", spur_ok,
                         f"{len(trace.spurs)} spurs"))
+    # Each spur was checked once above, so the pairs skip is_spur.
     compat_ok = all(
-        are_compatible(trace.start, trace.spurs[i].base,
-                       trace.spurs[i].members, trace.spurs[j].members)
-        for i in range(len(trace.spurs))
-        for j in range(i + 1, len(trace.spurs)))
+        _compatible(trace.start, a.members, b.members)
+        for a, b in combinations(trace.spurs, 2))
     checks.append(Check("spurs pairwise compatible", compat_ok))
     hw = homology_through(trace.start, 2)
     hx = homology_through(trace.result, 2)

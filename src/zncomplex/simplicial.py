@@ -3,6 +3,10 @@
 A complex stores every face explicitly (the complexes here are 2-dimensional
 and small) as strictly increasing vertex tuples.  All operations are pure;
 nothing mutates a complex in place.
+
+Homology builds each boundary map once as sparse columns and reduces it once
+with intlinalg.sparse_snf; boundary_matrix is the dense rendering of the same
+map.
 """
 
 from __future__ import annotations
@@ -10,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .errors import InvalidComplexError, ScxFormatError, SpurError
-from .intlinalg import smith_normal_form
+from .intlinalg import SnfResult, sparse_snf
 
 Face = tuple[int, ...]
 
@@ -145,22 +149,36 @@ def euler_characteristic(complex_: SimplicialComplex) -> int:
     return sum((-1) ** k * c for k, c in enumerate(complex_.face_counts()))
 
 
+def _boundary_columns(complex_: SimplicialComplex,
+                      k: int) -> tuple[list[dict[int, int]], int]:
+    """The boundary map from k-chains to (k-1)-chains, as sparse columns.
+
+    Returns (columns, row count).  Rows are indexed by the sorted
+    (k-1)-faces, columns by the sorted k-faces; column j maps each facet of
+    k-face j to the usual alternating sign on sorted vertex tuples.  For
+    k <= 0 the map is zero and has no rows.
+    """
+    upper = complex_.faces_of_dim(k)
+    if k <= 0:
+        return [{} for _ in upper], 0
+    lower = {f: i for i, f in enumerate(complex_.faces_of_dim(k - 1))}
+    columns = [{lower[f[:drop] + f[drop + 1:]]: (-1) ** drop
+                for drop in range(len(f))} for f in upper]
+    return columns, len(lower)
+
+
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> list[list[int]]:
     """Matrix of the boundary map from k-chains to (k-1)-chains.
 
-    Rows are indexed by the sorted (k-1)-faces, columns by the sorted
-    k-faces, with the usual alternating signs on sorted vertex tuples.
-    For k = 0 the map is zero (a 0 x n matrix).
+    The dense rows of _boundary_columns(complex_, k): rows are indexed by
+    the sorted (k-1)-faces, columns by the sorted k-faces.  For k = 0 the
+    map is zero (a 0 x n matrix).
     """
-    if k <= 0:
-        return []
-    lower = {f: i for i, f in enumerate(complex_.faces_of_dim(k - 1))}
-    upper = complex_.faces_of_dim(k)
-    matrix = [[0] * len(upper) for _ in range(len(lower))]
-    for j, f in enumerate(upper):
-        for drop in range(len(f)):
-            sub = f[:drop] + f[drop + 1:]
-            matrix[lower[sub]][j] = (-1) ** drop
+    columns, row_count = _boundary_columns(complex_, k)
+    matrix = [[0] * len(columns) for _ in range(row_count)]
+    for j, column in enumerate(columns):
+        for i, v in column.items():
+            matrix[i][j] = v
     return matrix
 
 
@@ -170,27 +188,33 @@ class Homology:
     torsion: tuple[int, ...] = ()
 
 
+def _reduce_boundary(complex_: SimplicialComplex, k: int) -> SnfResult:
+    return sparse_snf(*_boundary_columns(complex_, k))
+
+
+def _homology(n_k: int, down: SnfResult, up: SnfResult) -> Homology:
+    """H_k from the count of k-faces and the Smith forms of d_k and d_k+1."""
+    return Homology(n_k - down.rank - up.rank, up.torsion)
+
+
 def homology(complex_: SimplicialComplex, k: int) -> Homology:
     """H_k with integer coefficients, as (betti, torsion coefficients)."""
     if k < 0:
         raise ValueError("homology degree must be non-negative")
     require_valid(complex_)
-    return _homology_unchecked(complex_, k)
-
-
-def _homology_unchecked(complex_: SimplicialComplex, k: int) -> Homology:
-    n_k = len(complex_.faces_of_dim(k))
-    if n_k == 0:
-        return Homology(0)
-    rank_k = smith_normal_form(boundary_matrix(complex_, k)).rank if k > 0 else 0
-    snf_up = smith_normal_form(boundary_matrix(complex_, k + 1))
-    betti = n_k - rank_k - snf_up.rank
-    return Homology(betti, snf_up.torsion)
+    return _homology(len(complex_.faces_of_dim(k)),
+                     _reduce_boundary(complex_, k),
+                     _reduce_boundary(complex_, k + 1))
 
 
 def homology_through(complex_: SimplicialComplex, top: int) -> list[Homology]:
+    """H_0 .. H_top, reducing each boundary map d_0 .. d_top+1 once."""
     require_valid(complex_)
-    return [_homology_unchecked(complex_, k) for k in range(top + 1)]
+    counts = complex_.face_counts()
+    reduced = [_reduce_boundary(complex_, k) for k in range(top + 2)]
+    return [_homology(counts[k] if k < len(counts) else 0,
+                      reduced[k], reduced[k + 1])
+            for k in range(top + 1)]
 
 
 def is_spur(complex_: SimplicialComplex, u: int,
@@ -229,10 +253,16 @@ def are_compatible(complex_: SimplicialComplex, u: int, first: Iterable[int],
     """Disjointness plus at-most-one cross edge, for two spurs at u."""
     first = set(first)
     second = set(second)
-    for label, s in (("first", first), ("second", second)):
+    for s in (first, second):
         report = is_spur(complex_, u, s)
         if not report:
             raise SpurError(report)
+    return _compatible(complex_, first, second)
+
+
+def _compatible(complex_: SimplicialComplex, first: AbstractSet[int],
+                second: AbstractSet[int]) -> bool:
+    """are_compatible for two sets already known to be spurs."""
     if first & second:
         return False
     cross = sum(1 for v in first for w in second if complex_.has_edge(v, w))

@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from zncomplex.construction import build_spurs, build_w, build_x, build_x_trace, torus_block
+from zncomplex.construction import build_spurs, build_w, build_x, torus_block
 from zncomplex.errors import UnsupportedSizeError
 from zncomplex.factorization import (
     orthogonal_pair,

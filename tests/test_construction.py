@@ -1,6 +1,7 @@
 """Block complexes, spur partitions, and the collapsed complexes."""
 
 import random
+import time
 from collections import Counter
 from math import comb
 
@@ -107,6 +108,15 @@ def test_w_homology_small():
         assert hs[0] == Homology(1)
         assert hs[1] == Homology(n)
         assert hs[2] == Homology(comb(n, 2))
+
+
+def test_w20_homology_within_budget():
+    complex_, _ = build_w(20)
+    start = time.perf_counter()
+    hs = homology_through(complex_, 2)
+    elapsed = time.perf_counter() - start
+    assert hs == [Homology(1), Homology(20), Homology(190)]
+    assert elapsed < 5.0, f"homology_through(W_20) took {elapsed:.2f} s"
 
 
 def test_w_neighbor_containment():

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zncomplex import intlinalg
 from zncomplex.intlinalg import (
+    SnfResult,
     hnf_rows,
     identity,
     invert_unimodular,
@@ -19,6 +21,7 @@ from zncomplex.intlinalg import (
     saturation_completion,
     smith_normal_form,
     solve_integer,
+    sparse_snf,
     transpose,
 )
 
@@ -114,6 +117,43 @@ def test_snf_rectangular_shapes():
     assert smith_normal_form([[2], [4], [6]]).diagonal == (2,)
     result = smith_normal_form([], want_left=True, want_right=True)
     assert result.diagonal == () and result.rank == 0
+
+
+def test_sparse_snf_shapes():
+    assert sparse_snf([], 0) == smith_normal_form([])
+    assert sparse_snf([{}, {}], 3) == smith_normal_form([[0, 0]] * 3)
+    assert sparse_snf([{0: 2}, {1: 3}], 2).diagonal == (1, 6)
+    assert sparse_snf([{0: 1, 1: -1}, {0: 0}], 2) == SnfResult((1, 0), 1)
+    with pytest.raises(ValueError):
+        sparse_snf([{2: 1}], 2)
+
+
+def test_sparse_snf_against_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    remainders = []
+
+    def counting_snf(matrix, *args, **kwargs):
+        remainders.append(matrix)
+        return smith_normal_form(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting_snf)
+    rng = random.Random(2001)
+    entries = (1, -1, 2, -2, 3, -4, 6, 9)
+    for _ in range(80):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        columns = [{i: rng.choice(entries) for i in range(m)
+                    if rng.random() < 0.4} for _ in range(n)]
+        dense = [[col.get(i, 0) for col in columns] for i in range(m)]
+        result = sparse_snf(columns, m)
+        assert result == smith_normal_form(dense), dense
+        oracle = sympy_snf(sympy.Matrix(dense), domain=sympy.ZZ)
+        assert result.diagonal == tuple(abs(oracle[i, i])
+                                        for i in range(min(m, n))), dense
+    # Enough cases keep non-unit entries after unit elimination that the
+    # dense remainder path runs.
+    assert len(remainders) >= 40
 
 
 def test_rank_of_rows():

@@ -1,7 +1,6 @@
 """Normal forms, extraction, abelianization, and the rewrites."""
 
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from zncomplex.construction import build_x, torus_block
 from zncomplex.errors import NotFreeAbelianError, TooLongError
 from zncomplex.presentation import (
-    AbelianMap,
     Presentation,
     abelian_images,
     deficiency_bounds,

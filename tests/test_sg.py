@@ -7,7 +7,6 @@ import pytest
 
 from zncomplex.errors import SgHypothesisError
 from zncomplex.sg import (
-    Hypergraph3,
     affine_dimension,
     config,
     hypergraph,

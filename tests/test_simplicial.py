@@ -7,10 +7,12 @@ import weakref
 import pytest
 
 from zncomplex.errors import ScxFormatError, SpurError
+from zncomplex.intlinalg import smith_normal_form
 from zncomplex.simplicial import (
     Homology,
     SimplicialComplex,
     are_compatible,
+    boundary_matrix,
     collapse_spur,
     dumps_scx,
     euler_characteristic,
@@ -104,6 +106,34 @@ def test_homology_projective_plane_torsion():
     assert homology(rp2, 2) == Homology(0)
 
 
+def test_homology_klein_bottle_torsion():
+    # 3 x 3 grid on Z_3 x Z_3, glued straight along one side and with a flip
+    # (y -> -y) along the other.
+    def label(x, y):
+        if x == 3:
+            x, y = 0, -y
+        return 3 * (x % 3) + y % 3
+
+    faces = []
+    for x in range(3):
+        for y in range(3):
+            a, b = label(x, y), label(x + 1, y)
+            c, d = label(x, y + 1), label(x + 1, y + 1)
+            faces += [(a, b, d), (a, c, d)]
+    klein = from_maximal_faces(faces)
+    assert euler_characteristic(klein) == 0
+    assert homology_through(klein, 2) == [
+        Homology(1), Homology(1, (2,)), Homology(0)]
+
+
+def reference_homology(complex_, k):
+    """H_k from dense smith_normal_form of d_k and d_k+1, degree by degree."""
+    n_k = len(complex_.faces_of_dim(k))
+    rank_k = smith_normal_form(boundary_matrix(complex_, k)).rank if k else 0
+    up = smith_normal_form(boundary_matrix(complex_, k + 1))
+    return Homology(n_k - rank_k - up.rank, up.torsion)
+
+
 def test_homology_euler_consistency_random():
     rng = random.Random(11)
     for _ in range(20):
@@ -111,6 +141,9 @@ def test_homology_euler_consistency_random():
         hs = homology_through(complex_, complex_.dim)
         alt = sum((-1) ** k * h.betti for k, h in enumerate(hs))
         assert alt == euler_characteristic(complex_)
+        assert hs == [reference_homology(complex_, k)
+                      for k in range(complex_.dim + 1)]
+        assert hs == [homology(complex_, k) for k in range(complex_.dim + 1)]
 
 
 def test_scx_round_trip():

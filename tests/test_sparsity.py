@@ -16,7 +16,6 @@ from zncomplex.presentation import (
     exponent_matrix,
     is_sparse,
     maximal_sparse_subset,
-    minimize,
     normalize,
     replace_sparse,
     replace_subspace,
