@@ -90,7 +90,7 @@ def _cmd_reduce(args) -> int:
     for name in passes:
         if name not in ("minimize", "sparse"):
             raise ValueError(f"unknown pass {name!r}")
-    pres2, phi = presentation.minimize(pres)
+    pres2, phi = presentation.minimize(pres, presentation.abelian_images(pres))
     print(f"minimize: |S| = {len(pres2.generators)}, |R| = {len(pres2.relations)}")
     if "sparse" in passes:
         sparse_idx = presentation.maximal_sparse_subset(pres2, phi)

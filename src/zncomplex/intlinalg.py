@@ -47,6 +47,21 @@ def is_parallel(u, v) -> bool:
     return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
 
 
+def primitive_direction(vector) -> tuple[int, ...]:
+    """The primitive integer vector on the line of a nonzero integer vector.
+
+    Its content is 1 and its first nonzero entry is positive, so two nonzero
+    vectors are parallel exactly when their directions are equal.  The zero
+    vector is returned unchanged.
+    """
+    content = gcd(*vector)
+    if not content:
+        return tuple(vector)
+    if next(x for x in vector if x) < 0:
+        content = -content
+    return tuple(x // content for x in vector)
+
+
 @dataclass(frozen=True)
 class SnfResult:
     """Diagonalization left * input * right = diag(diagonal).

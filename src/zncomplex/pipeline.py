@@ -22,10 +22,12 @@ from .errors import (
     SparsityError,
     TooLongError,
 )
+from .intlinalg import sparse_snf
 from .presentation import (
     Presentation,
     SparsityPartition,
     abelian_images,
+    exponent_columns,
     maximal_sparse_subset,
     minimize,
     normalize,
@@ -137,14 +139,15 @@ class PipelineReport:
 
 
 def _verified_rank(pres: Presentation, stage: str, expected: int) -> None:
-    try:
-        phi = abelian_images(pres)
-    except NotFreeAbelianError as exc:
-        raise PipelineStageError(stage, f"torsion appeared: {exc.torsion}",
-                                 witness=exc.torsion) from exc
-    if phi.rank != expected:
+    """Check that pres presents Z^expected, by a Smith form without transforms."""
+    snf = sparse_snf(exponent_columns(pres), len(pres.generators))
+    if snf.torsion:
+        raise PipelineStageError(stage, f"torsion appeared: {snf.torsion}",
+                                 witness=snf.torsion)
+    rank = len(pres.generators) - snf.rank
+    if rank != expected:
         raise PipelineStageError(
-            stage, f"free rank {phi.rank}, expected {expected}")
+            stage, f"free rank {rank}, expected {expected}")
 
 
 def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
@@ -173,7 +176,7 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
 
     stage = "minimize"
     try:
-        p1, phi1 = minimize(pres)
+        p1, phi1 = minimize(pres, phi)
     except TooLongError as exc:
         raise PipelineStageError(stage, str(exc), witness=exc.word) from exc
     _verified_rank(p1, stage, n)
@@ -209,20 +212,12 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
         ok=sg_ok))
 
     stage = "augment"
-    chosen = set(p1.generators[i] for i in reduction.kept)
-    s_prime = [g for g in p1.generators if g in chosen]
-    current_dim = subset_dimension(phi1, s_prime)
-    changed = True
-    while changed:
-        changed = False
-        for g in p1.generators:
-            if g in chosen:
-                continue
-            if subset_dimension(phi1, s_prime + [g]) == current_dim:
-                chosen.add(g)
-                s_prime = [x for x in p1.generators if x in chosen]
-                changed = True
-    d = current_dim
+    kept = [p1.generators[i] for i in sorted(reduction.kept)]
+    d = subset_dimension(phi1, kept)
+    # A generator in the span of the kept ones leaves that span unchanged,
+    # so one pass over the generators closes the set.
+    s_prime = [g for g in p1.generators
+               if g in kept or subset_dimension(phi1, kept + [g]) == d]
     report.stages.append(StageRecord(
         stage, k, len(p1.relations), n,
         detail=f"|S'| = {len(s_prime)}, d = {d}"))

@@ -16,12 +16,17 @@ from collections import deque
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .errors import NotFreeAbelianError, SparsityError, TooLongError
+from .errors import (
+    NotFreeAbelianError,
+    PipelineStageError,
+    SparsityError,
+    TooLongError,
+)
 from .hyperforest import hyperforest_report
 from .intlinalg import (
     invert_unimodular,
-    is_parallel,
     plane_key,
+    primitive_direction,
     rank_of_rows,
     saturation_completion,
     smith_normal_form,
@@ -211,6 +216,18 @@ def exponent_matrix(pres: Presentation) -> list[list[int]]:
     return matrix
 
 
+def exponent_columns(pres: Presentation) -> list[dict[int, int]]:
+    """The exponent matrix as sparse columns: {generator index: sum} per relation."""
+    index = {g: i for i, g in enumerate(pres.generators)}
+    columns = []
+    for rel in pres.relations:
+        column: dict[int, int] = {}
+        for g, e in rel:
+            column[index[g]] = column.get(index[g], 0) + e
+        columns.append(column)
+    return columns
+
+
 def abelian_images(pres: Presentation) -> AbelianMap:
     """The map onto the free abelianization, from the Smith form.
 
@@ -306,10 +323,8 @@ def replace2(pres: Presentation, phi: AbelianMap, g: str, h: str,
         raise ValueError("generators must be distinct")
     if a == 0 or b == 0:
         raise ValueError("coefficients must be nonzero")
-    divisor, c, d = _xgcd(a, b)
-    if abs(divisor) != 1:
-        raise ValueError(f"gcd({a}, {b}) = {abs(divisor)}, expected 1")
-    c, d = c * divisor, d * divisor  # normalize to a*c + b*d = 1
+    if gcd(a, b) != 1:
+        raise ValueError(f"gcd({a}, {b}) = {gcd(a, b)}, expected 1")
     vg, vh = phi.vector(g), phi.vector(h)
     if any(a * x + b * y for x, y in zip(vg, vh)):
         raise ValueError(f"{a}*phi({g}) + {b}*phi({h}) != 0")
@@ -327,8 +342,15 @@ def replace2(pres: Presentation, phi: AbelianMap, g: str, h: str,
                 syllables.append((x, e))
         relations.append(_clean_word(syllables))
     images = {x: v for x, v in phi.images.items() if x not in (g, h)}
-    images[fresh] = tuple(d * x - c * y for x, y in zip(vg, vh))
+    images[fresh] = _fused_image(vg, vh, a, b)
     return Presentation(generators, tuple(relations)), AbelianMap(phi.rank, images)
+
+
+def _fused_image(vg, vh, a: int, b: int) -> tuple[int, ...]:
+    """d*vg - c*vh for a*c + b*d = 1: the image of the generator fusing g, h."""
+    divisor, c, d = _xgcd(a, b)
+    c, d = c * divisor, d * divisor  # divisor is +-1; now a*c + b*d = 1
+    return tuple(d * x - c * y for x, y in zip(vg, vh))
 
 
 def _coprime_dependency(u, v) -> tuple[int, int]:
@@ -343,49 +365,83 @@ def _coprime_dependency(u, v) -> tuple[int, int]:
     return beta // divisor, -content // divisor
 
 
-def strip_trivial_relations(pres: Presentation) -> Presentation:
-    """Remove relations whose normal form is the empty word."""
-    kept = tuple(rel for rel in pres.relations if normalize(rel).word)
-    return Presentation(pres.generators, kept)
+def minimize(pres: Presentation, phi: AbelianMap) -> tuple[Presentation, AbelianMap]:
+    """Drop the zero generators and fuse each line class, rewriting once.
 
+    phi is the abelianization of pres, as abelian_images returns it (which
+    raises NotFreeAbelianError on torsion).  A relation whose normal form
+    has more than three syllables raises TooLongError; empty ones are
+    stripped.  Every generator with zero image is dropped.  The others fall
+    into classes by the line their image spans, and each class is fused down
+    to one generator, in the order of eliminating one pair at a time: the
+    first generator in the current order whose class has another member is
+    fused with the next member by replace2's rule for their coprime
+    dependency, and the fresh generator goes last.  The fusions are replayed
+    on the images alone; then every relation is rewritten and freely reduced
+    once, and those that became trivial are stripped.  The result equals
+    that of replace1 and replace2 applied one generator at a time.
 
-def minimize(pres: Presentation) -> tuple[Presentation, AbelianMap]:
-    """Eliminate zero generators and collinear pairs until none remain.
-
-    Empty relations are stripped; a generator with zero image is removed
-    outright, and any two generators whose images share a line are fused
-    (their coprime dependency always exists because the abelianization is
-    torsion-free; a two-syllable relation g^a h^b supplies exactly such a
-    pair).  At the fixpoint every relation has a three-syllable normal form
-    whose image span has dimension two.  Requires a presentation of some
-    Z^n; torsion raises NotFreeAbelianError.
+    At the end every relation has a three-syllable normal form whose images
+    span a plane.  A relation that does not raises PipelineStageError with
+    its index as witness; that happens only when phi is not the
+    abelianization of pres.
     """
-    phi = abelian_images(pres)
-    pres = strip_trivial_relations(pres)
-    while True:
-        zero = next((g for g in pres.generators if not any(phi.vector(g))), None)
-        if zero is not None:
-            pres, phi = replace1(pres, phi, zero)
-            pres = strip_trivial_relations(pres)
+    if set(phi.images) != set(pres.generators):
+        raise ValueError("phi must give an image for exactly the generators")
+    images = {g: phi.images[g] for g in pres.generators if any(phi.images[g])}
+    # Zero generators go first: a fresh name may reuse one of theirs.
+    relations = [tuple((g, e) for g, e in rel if g in images)
+                 for rel in pres.relations if normalize(rel).word]
+    order = list(images)  # the current generator order; fused ones stay in it
+    line = {g: primitive_direction(v) for g, v in images.items()}
+    classes: dict[tuple, deque] = {}
+    for g in order:
+        classes.setdefault(line[g], deque()).append(g)
+    fresh = iter(_fresh_names(order, len(order) - len(classes)))
+    fused: dict[str, tuple[str, int]] = {}  # g -> (i, e): g becomes i^e
+    for g in order:  # runs over the fresh generators appended below, too
+        members = classes[line[g]]
+        if g in fused or len(members) < 2:
             continue
-        pair = None
-        for i, g in enumerate(pres.generators):
-            for h in pres.generators[i + 1:]:
-                if is_parallel(phi.vector(g), phi.vector(h)):
-                    pair = (g, h)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        a, b = _coprime_dependency(phi.vector(pair[0]), phi.vector(pair[1]))
-        pres, phi = replace2(pres, phi, pair[0], pair[1], a, b)
-        pres = strip_trivial_relations(pres)
-    for idx in range(len(pres.relations)):
-        nf = normalize(pres.relations[idx])
-        assert len(nf.word) == 3, (idx, nf.word)
-        assert subset_dimension(phi, nf.support) == 2
-    return pres, phi
+        members.popleft()  # g: no earlier member of its class is left
+        h = members.popleft()
+        a, b = _coprime_dependency(images[g], images[h])
+        i = next(fresh)
+        images[i] = _fused_image(images[g], images[h], a, b)
+        line[i] = line[g]
+        members.append(i)
+        order.append(i)
+        fused[g], fused[h] = (i, b), (i, -a)
+    target: dict[str, tuple[str, int]] = {}  # g -> (s, e): g becomes s^e, s survives
+    for g in reversed(order):
+        if g in fused:
+            i, e = fused[g]
+            survivor, f = target[i]
+            target[g] = (survivor, e * f)
+        else:
+            target[g] = (g, 1)
+    generators = tuple(g for g in order if g not in fused)
+    out_phi = AbelianMap(phi.rank, {g: images[g] for g in generators})
+    kept = []
+    for rel in relations:
+        syllables = tuple((target[g][0], target[g][1] * e) for g, e in rel)
+        if fused:
+            syllables = _clean_word(syllables)
+        nf = normalize(syllables)
+        if not nf.word:
+            continue
+        idx = len(kept)
+        if len(nf.word) != 3:
+            raise PipelineStageError(
+                "minimize", f"relation {idx} has {len(nf.word)} syllables, "
+                f"not three", witness=idx)
+        dim = subset_dimension(out_phi, nf.support)
+        if dim != 2:
+            raise PipelineStageError(
+                "minimize", f"relation {idx} spans dimension {dim}, not two",
+                witness=idx)
+        kept.append(syllables)
+    return Presentation(generators, tuple(kept)), out_phi
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +555,7 @@ def critical_collection(pres: Presentation, phi: AbelianMap,
             raise SparsityError(
                 f"plane has {len(members)} generators; brute-force "
                 f"enumeration of critical sets is capped at 22")
-        direction: dict[str, tuple] = {}
-        for g in members:
-            vec = phi.vector(g)
-            c = 0
-            for x in vec:
-                c = gcd(c, x)
-            prim = tuple(x // c for x in vec) if c else vec
-            lead = next((x for x in prim if x), 1)
-            direction[g] = prim if lead > 0 else tuple(-x for x in prim)
+        direction = {g: primitive_direction(phi.vector(g)) for g in members}
         edge_masks = []
         for i in idxs:
             mask = 0

@@ -13,11 +13,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
 
 from .errors import SgHypothesisError
 from .hyperforest import hyperforest_report
-from .intlinalg import is_parallel, plane_key, rank_of_rows
+from .intlinalg import is_parallel, plane_key, primitive_direction, rank_of_rows
 from .simplicial import CheckReport
 
 
@@ -107,25 +107,10 @@ def affine_dimension(cfg: PointConfig) -> int:
     return rank_of_rows(rows) if rows else 0
 
 
-def _primitive_direction(delta) -> tuple[int, ...]:
-    denom = 1
-    for x in delta:
-        f = Fraction(x)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(Fraction(x) * denom) for x in delta]
-    content = 0
-    for x in ints:
-        content = gcd(content, x)
-    ints = [x // content for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 def _line_key(p, q):
-    direction = _primitive_direction([Fraction(b) - Fraction(a)
-                                      for a, b in zip(p, q)])
+    delta = [Fraction(b) - Fraction(a) for a, b in zip(p, q)]
+    scale = lcm(*(x.denominator for x in delta))
+    direction = primitive_direction([int(x * scale) for x in delta])
     k = next(i for i, x in enumerate(direction) if x)
     t = Fraction(p[k], direction[k])
     anchor = tuple(Fraction(x) - t * d for x, d in zip(p, direction))

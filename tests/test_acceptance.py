@@ -229,7 +229,7 @@ def test_criterion_07_rewriting_soundness():
             pres, phi = replace1(pres, phi, zero)
             applications += 1
         else:
-            pres, phi = minimize(pres)
+            pres, phi = minimize(pres, phi)
             applications += 1
         ok = ok and group_signature(pres) == signature
     # replace2 on explicit coprime dependencies
@@ -261,7 +261,8 @@ def test_criterion_07_rewriting_soundness():
     identity_runs = 0
     for _ in range(30):
         n = rng.randint(2, 5)
-        pres, phi = minimize(random_zn_presentation(rng, n))
+        raw = random_zn_presentation(rng, n)
+        pres, phi = minimize(raw, abelian_images(raw))
         sparse_idx = maximal_sparse_subset(pres, phi)
         rest = tuple(i for i in range(len(pres.relations))
                      if i not in set(sparse_idx))
@@ -385,8 +386,9 @@ def test_criterion_09_deficiency_bounds():
     produced = []
     for n in range(1, 9):
         produced.append((standard_zn(n, "commutator"), n, "commutator"))
-        produced.append((standard_zn(n, "intro3"), n, "intro3"))
-        minimized, _ = minimize(standard_zn(n, "intro3"))
+        intro = standard_zn(n, "intro3")
+        produced.append((intro, n, "intro3"))
+        minimized, _ = minimize(intro, abelian_images(intro))
         produced.append((minimized, n, "minimized intro3"))
     from zncomplex.simplicial import from_maximal_faces
     block = from_maximal_faces(torus_block(0, 1, 2, 3, 4, 5, 6))

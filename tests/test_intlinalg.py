@@ -14,8 +14,10 @@ from zncomplex.intlinalg import (
     hnf_rows,
     identity,
     invert_unimodular,
+    is_parallel,
     mat_mul,
     plane_key,
+    primitive_direction,
     rank_of_rows,
     row_lattice_basis,
     saturation_completion,
@@ -234,3 +236,18 @@ def test_plane_key_depends_only_on_span():
     c = plane_key([[1, 0, 0], [0, 0, 1]])
     assert a == b
     assert a != c
+
+
+def test_primitive_direction():
+    assert primitive_direction((4, -6)) == (2, -3)
+    assert primitive_direction((-4, 6)) == (2, -3)
+    assert primitive_direction((0, 0, -3)) == (0, 0, 1)
+    assert primitive_direction((0, 0)) == (0, 0)
+    rng = random.Random(5)
+    for _ in range(300):
+        u = [rng.randint(-2, 2) for _ in range(3)]
+        v = [rng.choice((-2, -1, 1, 3)) * x for x in u] if rng.random() < 0.5 \
+            else [rng.randint(-2, 2) for _ in range(3)]
+        if any(u) and any(v):
+            same = primitive_direction(u) == primitive_direction(v)
+            assert same == is_parallel(u, v)

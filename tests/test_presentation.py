@@ -1,16 +1,23 @@
 """Normal forms, extraction, abelianization, and the rewrites."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zncomplex
 from zncomplex.construction import build_x, torus_block
-from zncomplex.errors import NotFreeAbelianError, TooLongError
+from zncomplex.errors import NotFreeAbelianError, PipelineStageError, TooLongError
 from zncomplex.presentation import (
+    AbelianMap,
     Presentation,
+    _coprime_dependency,
     abelian_images,
     deficiency_bounds,
     dumps_presentation,
@@ -24,10 +31,9 @@ from zncomplex.presentation import (
     replace1,
     replace2,
     standard_zn,
-    strip_trivial_relations,
     subset_dimension,
 )
-from zncomplex.intlinalg import rank_of_rows, smith_normal_form
+from zncomplex.intlinalg import is_parallel, rank_of_rows, smith_normal_form
 from zncomplex.simplicial import from_maximal_faces
 
 
@@ -225,16 +231,17 @@ def random_zn_presentation(rng, n):
 
 def test_minimize_examples():
     intro = standard_zn(3, "intro3")
-    out, phi = minimize(intro)
+    out, phi = minimize(intro, abelian_images(intro))
     assert out == intro
-    out2, _ = minimize(Presentation(("g", "h"), ((("g", 1),),)))
+    zero = Presentation(("g", "h"), ((("g", 1),),))
+    out2, _ = minimize(zero, abelian_images(zero))
     assert out2.generators == ("h",)
     assert out2.relations == ()
 
 
 def test_minimize_of_extracted_complex():
     pres = extract_presentation(build_x(7), 0)
-    out, phi = minimize(pres)
+    out, phi = minimize(pres, abelian_images(pres))
     assert phi.rank == 7
     for rel in out.relations:
         nf = normalize(rel)
@@ -249,8 +256,166 @@ def test_rewrites_preserve_group_signature():
         pres = random_zn_presentation(rng, n)
         signature = free_part_signature(pres)
         assert signature == (n, ())
-        out, _ = minimize(pres)
+        out, _ = minimize(pres, abelian_images(pres))
         assert free_part_signature(out) == signature
+
+
+def strip_trivial_relations(pres):
+    kept = tuple(rel for rel in pres.relations if normalize(rel).word)
+    return Presentation(pres.generators, kept)
+
+
+def stepwise_minimize(pres):
+    """The one-pair-at-a-time elimination that minimize must reproduce."""
+    phi = abelian_images(pres)
+    pres = strip_trivial_relations(pres)
+    while True:
+        zero = next((g for g in pres.generators if not any(phi.vector(g))), None)
+        if zero is not None:
+            pres, phi = replace1(pres, phi, zero)
+            pres = strip_trivial_relations(pres)
+            continue
+        pair = None
+        for i, g in enumerate(pres.generators):
+            for h in pres.generators[i + 1:]:
+                if is_parallel(phi.vector(g), phi.vector(h)):
+                    pair = (g, h)
+                    break
+            if pair:
+                break
+        if pair is None:
+            break
+        a, b = _coprime_dependency(phi.vector(pair[0]), phi.vector(pair[1]))
+        pres, phi = replace2(pres, phi, pair[0], pair[1], a, b)
+        pres = strip_trivial_relations(pres)
+    for idx in range(len(pres.relations)):
+        nf = normalize(pres.relations[idx])
+        assert len(nf.word) == 3, (idx, nf.word)
+        assert subset_dimension(phi, nf.support) == 2
+    return pres, phi
+
+
+def minimize_outcome(run):
+    """(presentation, image items in order), or the type of the error raised."""
+    try:
+        out, phi = run()
+    except (TooLongError, NotFreeAbelianError) as exc:
+        return type(exc)
+    return out, phi.rank, list(phi.images.items())
+
+
+def random_fusion_case(rng):
+    """A presentation with shuffled generators, t<k> names, zero images,
+    chains of collinear generators, repeated, trivial and unreduced
+    relations, and now and then torsion or a relation longer than three
+    syllables."""
+    n = rng.randint(1, 4)
+    base = standard_zn(n, "intro3") if n > 1 else Presentation(("g1",), ())
+    names = {g: g for g in base.generators}
+    for g in rng.sample(base.generators, rng.randint(0, len(base.generators))):
+        names[g] = f"t{rng.randint(0, 20)}"
+    if len(set(names.values())) < len(names):
+        names = {g: g for g in base.generators}
+    gens = [names[g] for g in base.generators]
+    rels = [tuple((names[g], e) for g, e in rel) for rel in base.relations]
+    for extra in range(rng.randint(0, 8)):
+        name = f"t{rng.randint(0, 20)}" if rng.random() < 0.5 else f"z{extra}"
+        if name in gens:
+            continue
+        anchor = rng.choice(gens)
+        style = rng.random()
+        if style < 0.2:
+            rels.append(((name, rng.choice((1, -1))),))  # zero image
+        elif style < 0.25:
+            rels.append(((name, 2),))  # torsion
+        elif style < 0.35:
+            a, b = rng.choice(((2, 3), (3, -2), (-3, 4)))
+            rels.append(((name, a), (anchor, b)))  # collinear, maybe torsion
+        else:
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            rels.append(((name, 1), (anchor, k)))  # collinear with anchor
+        gens.append(name)
+    if rels and rng.random() < 0.3:
+        rels.append(rng.choice(rels))
+    if rng.random() < 0.2:
+        g = rng.choice(gens)
+        rels.append(((g, 1), (g, -1)))
+    if rels and rng.random() < 0.4:
+        i, g = rng.randrange(len(rels)), rng.choice(gens)
+        at = rng.randint(0, len(rels[i]))
+        rels[i] = rels[i][:at] + ((g, 1), (g, -1)) + rels[i][at:]  # unreduced
+    if rng.random() < 0.05:
+        g, h = rng.sample(gens, 2) if len(gens) > 1 else (gens[0], gens[0])
+        rels.append(((g, 1), (h, 1), (g, -1), (h, -1)))
+    rng.shuffle(gens)
+    rng.shuffle(rels)
+    return Presentation(tuple(gens), tuple(rels))
+
+
+def test_minimize_matches_stepwise_on_extracted_complexes():
+    for m in range(7, 11):
+        pres = extract_presentation(build_x(m), 0)
+        expected = minimize_outcome(lambda: stepwise_minimize(pres))
+        assert minimize_outcome(
+            lambda: minimize(pres, abelian_images(pres))) == expected
+
+
+def test_minimize_matches_stepwise_on_random_presentations():
+    rng = random.Random(4_0404)
+    seen = {"fused": 0, "zero": 0, "t-name": 0, "zero name reused": 0,
+            TooLongError: 0, NotFreeAbelianError: 0}
+    for _ in range(400):
+        pres = random_fusion_case(rng)
+        expected = minimize_outcome(lambda: stepwise_minimize(pres))
+        got = minimize_outcome(lambda: minimize(pres, abelian_images(pres)))
+        assert got == expected, pres
+        if isinstance(expected, type):
+            seen[expected] += 1
+            continue
+        out = expected[0]
+        images = abelian_images(pres).images
+        zeros = {g for g in pres.generators if not any(images[g])}
+        fused = set(out.generators) - set(pres.generators)
+        seen["fused"] += bool(fused)
+        seen["zero"] += bool(zeros)
+        seen["t-name"] += bool(fused) and any(
+            g.startswith("t") for g in pres.generators)
+        seen["zero name reused"] += bool(zeros & set(out.generators))
+    assert seen["fused"] >= 150 and seen["zero"] >= 50, seen
+    assert seen["t-name"] >= 50 and seen["zero name reused"] >= 3, seen
+    assert seen[TooLongError] >= 5 and seen[NotFreeAbelianError] >= 20, seen
+
+
+def test_minimize_within_budget():
+    pres = extract_presentation(build_x(12), 0)
+    phi = abelian_images(pres)
+    start = time.perf_counter()
+    out, _ = minimize(pres, phi)
+    elapsed = time.perf_counter() - start
+    assert len(out.relations) > 0
+    assert elapsed < 1.5, f"minimize(P_12) took {elapsed:.2f} s"
+
+
+def test_minimize_checks_its_result_explicitly():
+    line = Presentation(("a", "b"), ((("a", 1), ("b", 1)),))
+    three = Presentation(("a", "b", "c"), ((("a", 1), ("b", 1), ("c", 1)),))
+    space = AbelianMap(3, {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)})
+    for pres in (line, three):
+        phi = AbelianMap(3, {g: space.images[g] for g in pres.generators})
+        with pytest.raises(PipelineStageError) as info:
+            minimize(pres, phi)
+        assert info.value.stage == "minimize" and info.value.witness == 0
+    with pytest.raises(ValueError):
+        minimize(line, space)
+    # The check is not an assert, so it also runs under python -O.
+    script = ("from zncomplex.presentation import AbelianMap, Presentation, minimize\n"
+              "pres = Presentation(('a', 'b'), ((('a', 1), ('b', 1)),))\n"
+              "minimize(pres, AbelianMap(2, {'a': (1, 0), 'b': (0, 1)}))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        zncomplex.__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and "PipelineStageError" in done.stderr
 
 
 def test_standard_zn_shapes():
@@ -278,9 +443,12 @@ def test_deficiency_bounds():
     assert not deficiency_bounds(thin, 2)
 
 
-def test_strip_trivial_relations():
-    pres = Presentation(("g",), ((), (("g", 1), ("g", -1)), (("g", 2),)))
-    assert strip_trivial_relations(pres).relations == ((("g", 2),),)
+def test_minimize_strips_trivial_relations():
+    intro = standard_zn(2, "intro3")
+    pres = Presentation(intro.generators, ((), (("g1", 1), ("g1", -1)))
+                        + intro.relations + ((("g2", 2), ("g2", -2)),))
+    out, _ = minimize(pres, abelian_images(pres))
+    assert out.relations == intro.relations
 
 
 def test_json_round_trip():
