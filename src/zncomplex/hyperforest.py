@@ -1,15 +1,27 @@
-"""Hyperforest test for 3-uniform hypergraphs, with Hall-type witnesses.
+"""The (1,1) pebble game for hypergraphs: hyperforests and their tight sets.
 
-A multiset of hyperedges is a hyperforest when every k of its edges touch at
-least k+1 vertices.  Equivalently (by Hall's theorem): for every vertex v,
-the bipartite graph matching each edge to its vertices other than v admits a
-matching saturating all edges.  This module runs that matching test and, on
-failure, extracts a deficient edge family as a witness.
+A multiset of hyperedges is a hyperforest, or (1,1)-sparse, when every k of
+its edges touch at least k+1 vertices.  The incremental pebble game of
+Lee & Streinu (Pebble game algorithms and sparse graphs, 2008) and Streinu &
+Theran (Sparse hypergraphs and pebble game algorithms, 2009) decides this one
+edge at a time.  Every vertex starts with one pebble.  An accepted edge is
+covered by the pebble of one of its vertices, which then points along the
+edge to the others, so a vertex holds either its pebble or exactly one edge.
+A new edge is accepted when two pebbles can be gathered on two of its
+vertices by reversing covered paths; otherwise the vertices reachable from
+it along covered edges hold at least as many accepted edges as they have
+vertices less one, and with the new edge they witness the violation.
+
+In a sparse game a vertex set is tight when it holds exactly one edge fewer
+than it has vertices.  Tight sets that meet form a tight union, so the
+maximal ones are disjoint.  Two vertices share one exactly when two pebbles
+cannot be gathered on them: the set reachable from them is then tight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
 
@@ -25,65 +37,105 @@ class ForestReport:
         return self.ok
 
 
-def _max_matching(adjacency: Sequence[list[Hashable]]):
-    """Left-to-right maximum bipartite matching (augmenting paths).
+class PebbleGame:
+    """Incremental (1,1) pebble game; vertices must be hashable and sortable."""
 
-    Returns (match_of_left, match_of_right) where unmatched left nodes map
-    to None.
-    """
-    match_left: list = [None] * len(adjacency)
-    match_right: dict = {}
+    def __init__(self):
+        # Accepted edges with sorted vertices, so that searches, and hence
+        # witnesses, do not depend on string hashing.
+        self.accepted: list[tuple] = []
+        self._cover: dict = {}  # vertex -> index of the accepted edge it covers
 
-    def try_augment(i, seen) -> bool:
-        for v in adjacency[i]:
-            if v in seen:
-                continue
-            seen.add(v)
-            j = match_right.get(v)
-            if j is None or try_augment(j, seen):
-                match_left[i] = v
-                match_right[v] = i
+    def add(self, edge: Iterable[Hashable]) -> bool:
+        """Accept the edge if the edges stay sparse with it; report which.
+
+        After a rejection, closure(edge) is the witness: a vertex set with
+        at least |closure| - 1 accepted edges inside, besides this one.
+        """
+        vertices = tuple(sorted(set(edge)))
+        holders = self._gather(vertices)
+        if holders is None:
+            return False
+        self._cover[holders[0]] = len(self.accepted)
+        self.accepted.append(vertices)
+        return True
+
+    def closure(self, vertices: Iterable[Hashable]) -> set:
+        """The vertices reachable from these along covered edges."""
+        seen = set(vertices)
+        stack = list(seen)
+        while stack:
+            x = stack.pop()
+            if x in self._cover:
+                for y in self.accepted[self._cover[x]]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        return seen
+
+    def components(self) -> list[frozenset]:
+        """The maximal tight sets with at least two vertices.
+
+        The accepted edges inside a maximal tight set connect it, so uniting
+        the vertex pairs of accepted edges that cannot hold two pebbles
+        finds every one.
+        """
+        group: dict = {}  # vertex -> the vertices known to share a tight set
+        for edge in self.accepted:
+            for u, v in combinations(edge, 2):
+                if v in group.get(u, ()) or self._gather((u, v)) is not None:
+                    continue
+                merged = group.get(u, {u}) | group.get(v, {v})
+                for w in merged:
+                    group[w] = merged
+        unique = {id(members): members for members in group.values()}
+        return [frozenset(members) for members in unique.values()]
+
+    def _gather(self, vertices) -> tuple | None:
+        """Two vertices of the set holding a pebble each, or None if impossible.
+
+        A vertex whose own search fails keeps failing while pebbles move to
+        the others: its reachable set is closed and a later reversed path
+        cannot enter it, because it would have to end at a free pebble there.
+        """
+        holders: list = []
+        for x in vertices:
+            if self._fetch(x, holders):
+                holders.append(x)
+                if len(holders) == 2:
+                    return tuple(holders)
+        return None
+
+    def _fetch(self, start, pinned) -> bool:
+        """Bring a free pebble to start along a reversed path avoiding pinned."""
+        parent = {start: None}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x not in self._cover:
+                while parent[x] is not None:
+                    p = parent[x]
+                    self._cover[x] = self._cover.pop(p)
+                    x = p
                 return True
+            for y in self.accepted[self._cover[x]]:
+                if y not in parent and y not in pinned:
+                    parent[y] = x
+                    stack.append(y)
         return False
-
-    for i in range(len(adjacency)):
-        try_augment(i, set())
-    return match_left, match_right
-
-
-def _deficient_family(adjacency, match_left, match_right, start: int):
-    """Edges reachable from an unmatched edge by alternating paths.
-
-    By Hall's theorem their neighborhood is smaller than the family, which
-    is exactly the certificate of non-sparsity we need.
-    """
-    family = {start}
-    frontier = [start]
-    neighborhood: set = set()
-    while frontier:
-        i = frontier.pop()
-        for v in adjacency[i]:
-            if v in neighborhood:
-                continue
-            neighborhood.add(v)
-            j = match_right.get(v)
-            if j is not None and j not in family:
-                family.add(j)
-                frontier.append(j)
-    return family, neighborhood
 
 
 def hyperforest_report(edges: Sequence[Iterable[Hashable]]) -> ForestReport:
-    """Check that every k edges (with multiplicity) touch >= k+1 vertices."""
+    """Check that every k edges (with multiplicity) touch >= k+1 vertices.
+
+    The edges enter one pebble game in order; the first rejection gives the
+    witness, its closure with every edge so far that lies inside it.
+    """
     edge_sets = [frozenset(e) for e in edges]
-    vertices = sorted(set().union(*edge_sets)) if edge_sets else []
-    for v in vertices:
-        adjacency = [sorted(e - {v}) for e in edge_sets]
-        match_left, match_right = _max_matching(adjacency)
-        for i, mate in enumerate(match_left):
-            if mate is None:
-                family, neighborhood = _deficient_family(
-                    adjacency, match_left, match_right, i)
-                witness = frozenset(neighborhood) | {v}
-                return ForestReport(False, witness, tuple(sorted(family)))
+    game = PebbleGame()
+    for i, edge in enumerate(edge_sets):
+        if not game.add(edge):
+            closure = frozenset(game.closure(edge))
+            inside = tuple(j for j in range(i + 1) if edge_sets[j] <= closure)
+            return ForestReport(False, closure, inside)
     return ForestReport(True)

@@ -415,21 +415,6 @@ def invert_unimodular(matrix) -> list[list[int]]:
     return mat_mul([list(r) for r in snf.right], [list(r) for r in snf.left])
 
 
-def row_lattice_basis(matrix) -> list[list[int]]:
-    """Basis of the lattice spanned over Z by the rows of matrix.
-
-    With U A V = D the row lattice is spanned by d_i * (row i of V^-1) for
-    the nonzero d_i.
-    """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if m == 0 or n == 0:
-        return []
-    snf = smith_normal_form(matrix, want_right=True)
-    vinv = invert_unimodular([list(r) for r in snf.right])
-    return [[snf.diagonal[i] * x for x in vinv[i]] for i in range(snf.rank)]
-
-
 def saturation_completion(matrix) -> tuple[int, list[list[int]]]:
     """Basis of Z^n adapted to the rational row span of matrix.
 
@@ -448,48 +433,22 @@ def saturation_completion(matrix) -> tuple[int, list[list[int]]]:
     return snf.rank, vinv
 
 
-def plane_key(rows) -> tuple[tuple[int, ...], ...]:
-    """Canonical key of the rational span of integer vectors.
+def plane_key(rows) -> tuple[int, ...]:
+    """Canonical key of the plane that integer vectors span.
 
-    The Hermite form of the saturated lattice span_Q(rows) intersected with
-    Z^n; equal spans give equal keys.
+    Precondition: the rows span exactly a plane, that is rank two over Q.
+    The key is the Pluecker vector u ^ v = (u_i v_j - u_j v_i for i < j) of
+    the first two independent rows, scaled by primitive_direction.  Another
+    spanning pair of the same plane has a Pluecker vector that is a nonzero
+    multiple of it, and a different plane has one that is not, so equal
+    planes give equal keys and different planes different ones.  Raises
+    ValueError when no two rows are independent.
     """
-    rank, basis = saturation_completion([list(r) for r in rows])
-    return hnf_rows(basis[:rank])
-
-
-def hnf_rows(matrix) -> tuple[tuple[int, ...], ...]:
-    """Unique row Hermite normal form of the lattice spanned by the rows.
-
-    Zero rows are dropped; pivots are positive and entries above each pivot
-    are reduced into [0, pivot).  Two row sets spanning the same lattice give
-    the same result, so this serves as a canonical key.
-    """
-    a = [[int(v) for v in row] for row in matrix if any(row)]
-    if not a:
-        return ()
-    n = len(a[0])
-    r = 0
-    for col in range(n):
-        # Gcd-reduce column entries in rows >= r down to a single one.
-        while True:
-            live = [i for i in range(r, len(a)) if a[i][col]]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(a[i][col]))
-            i0 = live[0]
-            for i in live[1:]:
-                q = a[i][col] // a[i0][col]
-                a[i] = [x - q * y for x, y in zip(a[i], a[i0])]
-        live = [i for i in range(r, len(a)) if a[i][col]]
-        if not live:
-            continue
-        a[r], a[live[0]] = a[live[0]], a[r]
-        if a[r][col] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][col] // a[r][col]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return tuple(tuple(row) for row in a[:r])
+    rows = [tuple(r) for r in rows]
+    for a, u in enumerate(rows):
+        for v in rows[a + 1:]:
+            wedge = [u[i] * v[j] - u[j] * v[i]
+                     for i in range(len(u)) for j in range(i + 1, len(u))]
+            if any(wedge):
+                return primitive_direction(wedge)
+    raise ValueError("no two of the rows are linearly independent")

@@ -22,7 +22,7 @@ from .errors import (
     SparsityError,
     TooLongError,
 )
-from .hyperforest import hyperforest_report
+from .hyperforest import PebbleGame, hyperforest_report
 from .intlinalg import (
     invert_unimodular,
     plane_key,
@@ -102,32 +102,13 @@ def normalize(syllables) -> NormalForm:
     the order the rules fire.  Raises TooLongError if the fixpoint keeps
     more than three syllables.
     """
-    syl = [(g, e) for g, e in syllables if e]
-    changed = True
-    while changed:
-        changed = False
-        merged: list[list] = []
-        for g, e in syl:
-            if merged and merged[-1][0] == g:
-                merged[-1][1] += e
-                changed = True
-                if merged[-1][1] == 0:
-                    merged.pop()
-            else:
-                merged.append([g, e])
-        syl = [(g, e) for g, e in merged]
-        if changed:
-            continue
-        if len(syl) >= 2 and syl[0][0] == syl[-1][0]:
-            g, first = syl[0]
-            wrapped = first + syl[-1][1]
-            middle = syl[1:-1]
-            syl = ([(g, wrapped)] if wrapped else []) + middle
-            changed = True
+    syl = _clean_word(syllables)
+    while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
+        syl = _clean_word(((syl[0][0], syl[0][1] + syl[-1][1]),) + syl[1:-1])
     if len(syl) > 3:
-        raise TooLongError(tuple(syl))
+        raise TooLongError(syl)
     assert len({g for g, _ in syl}) == len(syl)
-    return NormalForm(tuple(syl))
+    return NormalForm(syl)
 
 
 def is_3_presentation(pres: Presentation) -> bool:
@@ -457,17 +438,12 @@ class SparsityReport:
         return self.ok
 
 
-def _in_plane(vector, key) -> bool:
-    if not any(vector):
-        return True
-    return rank_of_rows([list(r) for r in key] + [list(vector)]) == len(key)
-
-
 def relation_planes(pres: Presentation, phi: AbelianMap, rel_indices):
     """Group relation indices by the plane their images span.
 
     Every relation must have a three-syllable normal form of dimension
-    exactly two; anything else is a precondition violation.
+    exactly two; anything else is a precondition violation.  Planes are
+    keyed by intlinalg.plane_key.
     """
     planes: dict[tuple, list[int]] = {}
     for idx in rel_indices:
@@ -482,18 +458,14 @@ def relation_planes(pres: Presentation, phi: AbelianMap, rel_indices):
     return planes
 
 
-def _plane_members(pres: Presentation, phi: AbelianMap, key) -> list[str]:
-    return [g for g in pres.generators if _in_plane(phi.vector(g), key)]
-
-
 def is_sparse(pres: Presentation, phi: AbelianMap, rel_indices) -> SparsityReport:
     """Is |R'[S']| <= |S'| - 1 for every generator set S' of dimension two?
 
     Decomposes by plane: the relations inside a plane must form a
     hyperforest on the generators whose images lie in that plane (every k
-    edges touching at least k+1 vertices), which is tested by a Hall-type
-    matching for each deleted vertex.  On failure the violating generator
-    set and relations are returned.
+    edges touching at least k+1 vertices), which one pebble game per plane
+    decides.  On failure the violating generator set and relations of the
+    first failing plane, in plane-key order, are returned.
     """
     planes = relation_planes(pres, phi, rel_indices)
     for key in sorted(planes):
@@ -509,93 +481,47 @@ def is_sparse(pres: Presentation, phi: AbelianMap, rel_indices) -> SparsityRepor
 
 
 def maximal_sparse_subset(pres: Presentation, phi: AbelianMap) -> tuple[int, ...]:
-    """Greedy inclusion-wise maximal sparse relation subset, in input order."""
-    by_plane: dict[tuple, list[frozenset[str]]] = {}
+    """Greedy inclusion-wise maximal sparse relation subset, in input order.
+
+    One pebble game per plane takes the plane's relations in input order and
+    keeps those it accepts.
+    """
+    planes = relation_planes(pres, phi, range(len(pres.relations)))
     chosen = []
-    for idx in range(len(pres.relations)):
-        planes = relation_planes(pres, phi, [idx])
-        (key, _), = planes.items()
-        support = normalize(pres.relations[idx]).support
-        trial = by_plane.get(key, []) + [support]
-        if hyperforest_report(trial):
-            by_plane[key] = trial
-            chosen.append(idx)
-    return tuple(chosen)
-
-
-def _full_inside(supports, member: frozenset) -> frozenset[int]:
-    return frozenset(i for i, s in enumerate(supports) if s <= member)
+    for idxs in planes.values():
+        game = PebbleGame()
+        chosen.extend(i for i in idxs
+                      if game.add(normalize(pres.relations[i]).support))
+    return tuple(sorted(chosen))
 
 
 def critical_collection(pres: Presentation, phi: AbelianMap,
                         rel_indices) -> list[frozenset[str]]:
     """Merged collection of the critical sets of a sparse relation subset.
 
-    Critical sets (dimension-two generator sets with exactly |S'| - 1 of the
-    given relations inside) are enumerated per plane by brute force over the
-    plane's generators, then sets whose full-relation sets intersect are
-    repeatedly united; the union of two intersecting criticals is critical
-    again.  The result covers every critical set and has pairwise disjoint
-    relation sets.
+    Critical sets are dimension-two generator sets S' with exactly |S'| - 1
+    of the given relations inside.  Two criticals of one plane that share a
+    generator unite to a critical, so merging every intersecting pair leaves
+    the maximal ones: per plane, the tight sets of at least three generators
+    that the plane's pebble game reports as components.  Within a plane
+    they are disjoint, and together they cover every critical set.  A
+    relation set that is not sparse raises SparsityError with the first
+    failing plane's witness.
     """
-    report = is_sparse(pres, phi, rel_indices)
-    if not report:
-        raise SparsityError(
-            f"relation set is not sparse on {sorted(report.witness_generators)}",
-            witness=report.witness_generators)
+    planes = relation_planes(pres, phi, rel_indices)
     supports = relation_supports(pres)
+    collection: list[frozenset[str]] = []
+    for key in sorted(planes):
+        game = PebbleGame()
+        for i in planes[key]:
+            if not game.add(supports[i]):
+                witness = frozenset(game.closure(supports[i]))
+                raise SparsityError(
+                    f"relation set is not sparse on {sorted(witness)}",
+                    witness=witness)
+        collection.extend(s for s in game.components() if len(s) >= 3)
     if any(not s for s in supports):
         raise SparsityError("empty-normal-form relations must be stripped first")
-    collection: list[frozenset[str]] = []
-    planes = relation_planes(pres, phi, rel_indices)
-    for key in sorted(planes):
-        idxs = planes[key]
-        members = _plane_members(pres, phi, key)
-        if len(members) > 22:
-            raise SparsityError(
-                f"plane has {len(members)} generators; brute-force "
-                f"enumeration of critical sets is capped at 22")
-        direction = {g: primitive_direction(phi.vector(g)) for g in members}
-        edge_masks = []
-        for i in idxs:
-            mask = 0
-            for g in normalize(pres.relations[i]).support:
-                mask |= 1 << members.index(g)
-            edge_masks.append(mask)
-        criticals = []
-        for mask in range(1, 1 << len(members)):
-            size = mask.bit_count()
-            if size < 3:
-                continue
-            inside = sum(1 for em in edge_masks if em & ~mask == 0)
-            if inside != size - 1:
-                continue
-            subset = [members[i] for i in range(len(members)) if mask >> i & 1]
-            if len({direction[g] for g in subset}) < 2:
-                continue
-            criticals.append(frozenset(subset))
-        # Merge criticals whose full relation sets intersect.
-        while True:
-            merged = None
-            for i in range(len(criticals)):
-                for j in range(i + 1, len(criticals)):
-                    if _full_inside(supports, criticals[i]) & \
-                            _full_inside(supports, criticals[j]):
-                        merged = (i, j)
-                        break
-                if merged:
-                    break
-            if merged is None:
-                break
-            i, j = merged
-            union = criticals[i] | criticals[j]
-            criticals = [s for k, s in enumerate(criticals) if k not in (i, j)]
-            if union not in criticals:
-                criticals.append(union)
-        for s in criticals:
-            inside = sum(1 for i in idxs if supports[i] <= s)
-            assert inside == len(s) - 1, "merged set lost criticality"
-        collection.extend(criticals)
     return sorted(collection, key=lambda s: tuple(sorted(s)))
 
 

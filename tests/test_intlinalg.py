@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from zncomplex import intlinalg
 from zncomplex.intlinalg import (
     SnfResult,
-    hnf_rows,
     identity,
     invert_unimodular,
     is_parallel,
@@ -19,7 +18,6 @@ from zncomplex.intlinalg import (
     plane_key,
     primitive_direction,
     rank_of_rows,
-    row_lattice_basis,
     saturation_completion,
     smith_normal_form,
     solve_integer,
@@ -204,16 +202,6 @@ def test_invert_unimodular():
         invert_unimodular([[2, 0], [0, 1]])
 
 
-def test_row_lattice_basis():
-    basis = row_lattice_basis([[2, 4], [4, 2]])
-    # The lattice contains (2,4) and (4,2), hence (6,6) and (2,4)-(4,2)=(-2,2).
-    assert len(basis) == 2
-    for v in [[2, 4], [4, 2]]:
-        assert solve_integer(transpose(basis), v) is not None
-    # and not more: (1,1) has fractional coordinates in the lattice
-    assert solve_integer(transpose(basis), [1, 1]) is None
-
-
 def test_saturation_completion():
     rank, basis = saturation_completion([[2, 4]])
     assert rank == 1
@@ -223,19 +211,30 @@ def test_saturation_completion():
     assert rank0 == 0 and abs(det(basis0)) == 1
 
 
-def test_hnf_canonical():
-    key = hnf_rows([[2, 4], [4, 2]])
-    assert hnf_rows([[4, 2], [2, 4]]) == key
-    assert hnf_rows([[-2, -4], [6, 6]]) == key
-    assert hnf_rows([[0, 0]]) == ()
-
-
 def test_plane_key_depends_only_on_span():
     a = plane_key([[1, 0, 0], [0, 1, 0]])
     b = plane_key([[2, 2, 0], [3, -1, 0]])
     c = plane_key([[1, 0, 0], [0, 0, 1]])
     assert a == b
     assert a != c
+    assert plane_key([[0, 0, 0], [2, 4, 0], [-1, -2, 0], [0, 3, 0]]) == a
+    for rows in ([[1, 2, 3]], [[1, 2, 3], [-2, -4, -6]], [[0, 0, 0], [0, 0, 0]]):
+        with pytest.raises(ValueError):
+            plane_key(rows)
+    rng = random.Random(1868)
+    for _ in range(200):
+        u, v, w = ([rng.randint(-3, 3) for _ in range(4)] for _ in range(3))
+        if rank_of_rows([u, v]) < 2:
+            continue
+        key = plane_key([u, v])
+        p, q, r, s = (rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4))
+        if p * s != q * r:  # another spanning pair of the same plane
+            pair = [[p * x + q * y for x, y in zip(u, v)],
+                    [r * x + s * y for x, y in zip(u, v)]]
+            assert plane_key(pair) == key
+        assert plane_key([[-x for x in v], [3 * x for x in u]]) == key
+        if rank_of_rows([u, w]) == 2:
+            assert (plane_key([u, w]) == key) == (rank_of_rows([u, v, w]) == 2)
 
 
 def test_primitive_direction():

@@ -1,6 +1,7 @@
 """Plane sparsity against brute-force subset enumeration."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,12 +18,13 @@ from zncomplex.presentation import (
     is_sparse,
     maximal_sparse_subset,
     normalize,
+    relation_planes,
     replace_sparse,
     replace_subspace,
     standard_zn,
     subset_dimension,
 )
-from zncomplex.intlinalg import smith_normal_form
+from zncomplex.intlinalg import primitive_direction, smith_normal_form
 
 
 def brute_rank(rows):
@@ -69,13 +71,8 @@ def brute_criticals(phi, generators, supports):
     return out
 
 
-def random_plane_hypergraph(rng, max_vertices=9):
-    """A presentation whose relations are random triples inside one plane.
-
-    Generators get distinct directions inside span(e1, e2) of Z^3 plus a
-    helper outside, so all triples have dimension two.
-    """
-    count = rng.randint(3, max_vertices)
+def plane_images(rng, count):
+    """count generators with distinct directions inside span(e1, e2) of Z^3."""
     directions = set()
     while len(directions) < count:
         x, y = rng.randint(-4, 4), rng.randint(-4, 4)
@@ -92,7 +89,17 @@ def random_plane_hypergraph(rng, max_vertices=9):
     for name, (x, y) in zip(names, sorted(directions)):
         scale = rng.randint(1, 3)
         images[name] = (scale * x, scale * y, 0)
-    phi = AbelianMap(3, images)
+    return AbelianMap(3, images), names
+
+
+def random_plane_hypergraph(rng, max_vertices=9):
+    """A presentation whose relations are random triples inside one plane.
+
+    Generators get distinct directions inside span(e1, e2) of Z^3 plus a
+    helper outside, so all triples have dimension two.
+    """
+    count = rng.randint(3, max_vertices)
+    phi, names = plane_images(rng, count)
     edge_count = rng.randint(0, count + 2)
     supports = [frozenset(rng.sample(names, 3)) for _ in range(edge_count)]
     return phi, names, supports
@@ -215,6 +222,136 @@ def test_critical_collection_covers_brute_force():
                 left = {t for t, s in enumerate(sup) if s <= collection[i]}
                 right = {t for t, s in enumerate(sup) if s <= collection[j]}
                 assert not (left & right)
+
+
+def hall_hyperforest(supports):
+    """Every k edges touch >= k+1 vertices: for each vertex v, a matching of
+    every edge to one of its other vertices exists (Hall; test-local oracle)."""
+    for v in set().union(*supports):
+        match = {}
+
+        def augment(i, seen):
+            for w in sorted(supports[i] - {v}):
+                if w not in seen:
+                    seen.add(w)
+                    if w not in match or augment(match[w], seen):
+                        match[w] = i
+                        return True
+            return False
+
+        if not all(augment(i, set()) for i in range(len(supports))):
+            return False
+    return True
+
+
+def greedy_sparse_subset(pres, phi):
+    """The greedy that re-ran the Hall-matching test on every insertion."""
+    by_plane = {}
+    chosen = []
+    for idx in range(len(pres.relations)):
+        (key, _), = relation_planes(pres, phi, [idx]).items()
+        trial = by_plane.get(key, []) + [normalize(pres.relations[idx]).support]
+        if hall_hyperforest(trial):
+            by_plane[key] = trial
+            chosen.append(idx)
+    return tuple(chosen)
+
+
+def enumerated_critical_collection(pres, phi, rel_indices):
+    """The 2^k enumeration of each plane's criticals, then the merge loop."""
+    supports = [normalize(r).support for r in pres.relations]
+    planes = relation_planes(pres, phi, rel_indices)
+    if not all(hall_hyperforest([supports[i] for i in idxs])
+               for idxs in planes.values()):
+        raise SparsityError("not sparse")
+
+    def full_inside(member):
+        return {i for i, s in enumerate(supports) if s <= member}
+
+    collection = []
+    for idxs in planes.values():
+        basis = [phi.vector(g) for g in supports[idxs[0]]]
+        members = [g for g in pres.generators
+                   if brute_rank(basis + [phi.vector(g)]) == 2]
+        direction = {g: primitive_direction(phi.vector(g)) for g in members}
+        edge_masks = [sum(1 << members.index(g) for g in supports[i])
+                      for i in idxs]
+        criticals = []
+        for mask in range(1, 1 << len(members)):
+            size = mask.bit_count()
+            if size < 3 or sum(1 for em in edge_masks if em & ~mask == 0) != size - 1:
+                continue
+            subset = [g for t, g in enumerate(members) if mask >> t & 1]
+            if len({direction[g] for g in subset}) >= 2:
+                criticals.append(frozenset(subset))
+        merged = True
+        while merged:
+            merged = False
+            for i, j in combinations(range(len(criticals)), 2):
+                if full_inside(criticals[i]) & full_inside(criticals[j]):
+                    union = criticals[i] | criticals[j]
+                    criticals = [s for t, s in enumerate(criticals)
+                                 if t not in (i, j) and s != union] + [union]
+                    merged = True
+                    break
+        collection.extend(criticals)
+    return sorted(collection, key=lambda s: tuple(sorted(s)))
+
+
+def oracle_plane_cases(seed, cases):
+    """One-plane presentations with 3..16 generators, a quarter of the
+    relations repeating an earlier triple."""
+    rng = random.Random(seed)
+    for case in range(cases):
+        count = 3 + case % 14
+        phi, names = plane_images(rng, count)
+        supports = []
+        for _ in range(rng.randint(count - 2, count + 2)):
+            if supports and rng.random() < 0.25:
+                supports.append(rng.choice(supports))
+            else:
+                supports.append(frozenset(rng.sample(names, 3)))
+        yield phi, hypergraph_as_presentation(phi, names, supports)
+
+
+def test_maximal_sparse_subset_equals_greedy_oracle():
+    for phi, pres in oracle_plane_cases(161803, 210):
+        assert maximal_sparse_subset(pres, phi) == greedy_sparse_subset(pres, phi)
+
+
+def test_critical_collection_equals_enumeration_oracle():
+    nonempty = rejected = 0
+    for phi, pres in oracle_plane_cases(141421, 210):
+        chosen = maximal_sparse_subset(pres, phi)
+        collection = critical_collection(pres, phi, chosen)
+        assert collection == enumerated_critical_collection(pres, phi, chosen)
+        nonempty += bool(collection)
+        everything = range(len(pres.relations))
+        if len(chosen) < len(pres.relations):
+            rejected += 1
+            with pytest.raises(SparsityError):
+                critical_collection(pres, phi, everything)
+            with pytest.raises(SparsityError):
+                enumerated_critical_collection(pres, phi, everything)
+    assert nonempty >= 50 and rejected >= 50, (nonempty, rejected)
+
+
+def test_critical_collection_of_forty_generators():
+    # One plane, generator pi with image (1, i, 0).  A chain of triples
+    # {p_i, p_i+1, p_i+2} on p0..p19 with its first triple doubled has
+    # 19 relations on 20 generators and every prefix tight; the plain chain
+    # on p20..p39 has no tight set of three or more.
+    names = [f"p{i}" for i in range(40)]
+    phi = AbelianMap(3, {g: (1, i, 0) for i, g in enumerate(names)})
+    supports = [frozenset(names[0:3])]
+    supports += [frozenset(names[i:i + 3]) for i in range(18)]
+    supports += [frozenset(names[i:i + 3]) for i in range(20, 38)]
+    pres = hypergraph_as_presentation(phi, names, supports)
+    start = time.perf_counter()
+    assert maximal_sparse_subset(pres, phi) == tuple(range(len(supports)))
+    collection = critical_collection(pres, phi, range(len(supports)))
+    assert time.perf_counter() - start < 1.0
+    assert collection == [frozenset(names[:20])]
 
 
 def test_replace_sparse_intro_identity():
