@@ -1,15 +1,18 @@
 """Small simplicial complexes with fundamental group Z^n, and the
 presentation machinery for reasoning about how small they can get.
 
-Subpackages:
+Modules:
 
 - simplicial: complexes, validation, spur collapses, integer homology
 - intlinalg: Smith normal form and exact lattice utilities
 - factorization: 1-factorizations of complete graphs and orthogonal pairs
 - construction: the block complexes W and their collapsed forms X
 - presentation: 3-presentations, normal forms, and the rewrite toolkit
+- hyperforest: the (1,1) pebble game deciding hyperforests and tight sets
 - sg: exact point-line incidence checks and hypergraph pruning
-- pipeline: end-to-end drivers and reports
+- report: Report, the ok/violations/witness result of every check
+- pipeline: end-to-end drivers and their run records
+- errors: the exception types; cli: the zncomplex command
 """
 
 from .construction import build_w, build_spurs, build_x, torus_block
@@ -31,6 +34,7 @@ from .presentation import (
     normalize,
     standard_zn,
 )
+from .report import Report
 from .sg import PointConfig, is_delta_sg, prune_min_degree, sg_reduce
 from .simplicial import (
     SimplicialComplex,
@@ -47,6 +51,7 @@ __all__ = [
     "OrthogonalPair",
     "PointConfig",
     "Presentation",
+    "Report",
     "SimplicialComplex",
     "abelian_images",
     "build_spurs",

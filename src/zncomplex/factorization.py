@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import PipelineStageError, UnsupportedSizeError
-from .simplicial import CheckReport
+from .report import Report
 
 Edge = tuple[int, int]
 Matching = frozenset[Edge]
@@ -36,17 +36,6 @@ class OrthogonalPair:
     second: OneFactorization
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """ok, or a witness (edge, edge', first index, second index)."""
-
-    ok: bool
-    witness: tuple[Edge, Edge, int, int] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
@@ -55,13 +44,12 @@ def all_edges(size: int) -> list[Edge]:
     return [(a, b) for a in range(1, size + 1) for b in range(a + 1, size + 1)]
 
 
-def validate_factorization(fact: OneFactorization) -> CheckReport:
+def validate_factorization(fact: OneFactorization) -> Report:
     """Exact partition check: disjoint perfect matchings covering K_size."""
     violations = []
     size = fact.size
     if size < 2 or size % 2:
-        violations.append(f"size {size} is not an even integer >= 2")
-        return CheckReport(False, tuple(violations))
+        return Report.of([f"size {size} is not an even integer >= 2"])
     if len(fact.matchings) != size - 1:
         violations.append(
             f"expected {size - 1} matchings, found {len(fact.matchings)}")
@@ -85,7 +73,7 @@ def validate_factorization(fact: OneFactorization) -> CheckReport:
     missing = set(all_edges(size)) - set(seen)
     if missing:
         violations.append(f"edges never covered: {sorted(missing)[:4]}")
-    return CheckReport(not violations, tuple(violations))
+    return Report.of(violations)
 
 
 def round_robin_factorization(size: int) -> OneFactorization:
@@ -100,8 +88,13 @@ def round_robin_factorization(size: int) -> OneFactorization:
     return _starter_factorization([(-s % m, s) for s in range(1, size // 2)], size)
 
 
-def verify_orthogonal_pair(pair: OrthogonalPair) -> OrthogonalityReport:
-    """No two edges may share a matching in both factorizations."""
+def verify_orthogonal_pair(pair: OrthogonalPair) -> Report:
+    """No two edges may share a matching in both factorizations.
+
+    A failing report's witness is (edge, edge', first index, second index):
+    two edges of matching `first index` of the first factorization that
+    both lie in matching `second index` of the second.
+    """
     if pair.first.size != pair.second.size:
         raise ValueError("factorizations have different sizes")
     second_index: dict[Edge, int] = {}
@@ -114,8 +107,11 @@ def verify_orthogonal_pair(pair: OrthogonalPair) -> OrthogonalityReport:
             for e2 in edges[i + 1:]:
                 shared = second_index.get(e)
                 if shared is not None and shared == second_index.get(e2):
-                    return OrthogonalityReport(False, (e, e2, idx, shared))
-    return OrthogonalityReport(True)
+                    return Report.of(
+                        [f"edges {e} and {e2} share matching {idx} of the "
+                         f"first and {shared} of the second"],
+                        (e, e2, idx, shared))
+    return Report(True)
 
 
 def _starter_factorization(pairs: list[tuple[int, int]], size: int) -> OneFactorization:
@@ -269,8 +265,3 @@ def loads_pair(text: str) -> OrthogonalPair:
 def write_pair(pair: OrthogonalPair, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_pair(pair))
-
-
-def read_pair(path) -> OrthogonalPair:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_pair(fh.read())

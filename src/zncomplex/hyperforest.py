@@ -20,21 +20,10 @@ cannot be gathered on them: the set reachable from them is then tight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
-
-@dataclass(frozen=True)
-class ForestReport:
-    ok: bool
-    # On failure: vertex set S with more than |S| - 1 edges inside it,
-    # and the indices of those edges.
-    witness_vertices: frozenset = frozenset()
-    witness_edges: tuple[int, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
+from .report import Report
 
 
 class PebbleGame:
@@ -125,11 +114,13 @@ class PebbleGame:
         return False
 
 
-def hyperforest_report(edges: Sequence[Iterable[Hashable]]) -> ForestReport:
+def hyperforest_report(edges: Sequence[Iterable[Hashable]]) -> Report:
     """Check that every k edges (with multiplicity) touch >= k+1 vertices.
 
-    The edges enter one pebble game in order; the first rejection gives the
-    witness, its closure with every edge so far that lies inside it.
+    The edges enter one pebble game in order.  The first rejection gives the
+    witness (closure, edge indices): the closure of the rejected edge, a
+    vertex set S, and the indices of every edge so far inside it, more than
+    |S| - 1 of them.
     """
     edge_sets = [frozenset(e) for e in edges]
     game = PebbleGame()
@@ -137,5 +128,8 @@ def hyperforest_report(edges: Sequence[Iterable[Hashable]]) -> ForestReport:
         if not game.add(edge):
             closure = frozenset(game.closure(edge))
             inside = tuple(j for j in range(i + 1) if edge_sets[j] <= closure)
-            return ForestReport(False, closure, inside)
-    return ForestReport(True)
+            return Report.of(
+                [f"{len(inside)} edges lie inside the {len(closure)} vertices "
+                 f"{sorted(closure)}, more than {len(closure) - 1}"],
+                (closure, inside))
+    return Report(True)

@@ -33,7 +33,8 @@ from .intlinalg import (
     solve_integer,
     transpose,
 )
-from .simplicial import CheckReport, SimplicialComplex, require_valid
+from .report import Report
+from .simplicial import SimplicialComplex, require_valid
 
 Word = tuple[tuple[str, int], ...]
 
@@ -428,16 +429,6 @@ def minimize(pres: Presentation, phi: AbelianMap) -> tuple[Presentation, Abelian
 # ---------------------------------------------------------------------------
 # Sparsity over planes
 
-@dataclass(frozen=True)
-class SparsityReport:
-    ok: bool
-    witness_generators: frozenset[str] = frozenset()
-    witness_relations: tuple[int, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def relation_planes(pres: Presentation, phi: AbelianMap, rel_indices):
     """Group relation indices by the plane their images span.
 
@@ -458,14 +449,15 @@ def relation_planes(pres: Presentation, phi: AbelianMap, rel_indices):
     return planes
 
 
-def is_sparse(pres: Presentation, phi: AbelianMap, rel_indices) -> SparsityReport:
+def is_sparse(pres: Presentation, phi: AbelianMap, rel_indices) -> Report:
     """Is |R'[S']| <= |S'| - 1 for every generator set S' of dimension two?
 
     Decomposes by plane: the relations inside a plane must form a
     hyperforest on the generators whose images lie in that plane (every k
     edges touching at least k+1 vertices), which one pebble game per plane
-    decides.  On failure the violating generator set and relations of the
-    first failing plane, in plane-key order, are returned.
+    decides.  On failure the witness is (generators, relation indices), a
+    violating generator set of the first failing plane, in plane-key order,
+    and the relations inside it.
     """
     planes = relation_planes(pres, phi, rel_indices)
     for key in sorted(planes):
@@ -473,11 +465,13 @@ def is_sparse(pres: Presentation, phi: AbelianMap, rel_indices) -> SparsityRepor
         supports = [normalize(pres.relations[i]).support for i in idxs]
         forest = hyperforest_report(supports)
         if not forest:
-            return SparsityReport(
-                False,
-                frozenset(forest.witness_vertices),
-                tuple(idxs[i] for i in forest.witness_edges))
-    return SparsityReport(True)
+            closure, inside = forest.witness
+            relations = tuple(idxs[i] for i in inside)
+            return Report.of(
+                [f"relations {list(relations)} lie inside the generators "
+                 f"{sorted(closure)}, more than {len(closure) - 1}"],
+                (closure, relations))
+    return Report(True)
 
 
 def maximal_sparse_subset(pres: Presentation, phi: AbelianMap) -> tuple[int, ...]:
@@ -634,7 +628,9 @@ def replace_subspace(pres: Presentation, phi: AbelianMap,
     basis of Z^n; words w_i with image x_i (solved over all generators)
     enter as relations, the images are projected to the last n-d basis
     coordinates, and the subset's generators are deleted from every
-    relation.  The result presents Z^(n-d).
+    relation.  The result presents Z^(n-d).  When the images of phi do not
+    generate Z^n, some x_i is the image of no word, and PipelineStageError
+    carries that i as the witness.
     """
     subset = [g for g in pres.generators if g in set(generators)]
     for g in generators:
@@ -652,7 +648,10 @@ def replace_subspace(pres: Presentation, phi: AbelianMap,
         all_columns = transpose([list(phi.vector(g)) for g in pres.generators])
         for i in range(dim):
             coeffs = solve_integer(all_columns, basis[i])
-            assert coeffs is not None, "images generate Z^n, so x_i is reachable"
+            if coeffs is None:
+                raise PipelineStageError(
+                    "replace-subspace", f"basis vector {i} is not the image "
+                    f"of a word: the images do not generate Z^{n}", witness=i)
             new_words.append(tuple(
                 (g, c) for g, c in zip(pres.generators, coeffs) if c))
     binv = invert_unimodular(basis) if n else []
@@ -708,7 +707,7 @@ def standard_zn(n: int, style: str) -> Presentation:
     raise ValueError(f"unknown style {style!r}")
 
 
-def deficiency_bounds(pres: Presentation, n: int) -> CheckReport:
+def deficiency_bounds(pres: Presentation, n: int) -> Report:
     """Size constraints every presentation of Z^n satisfies.
 
     |S| >= n, |R| - |S| >= C(n,2) - n, and their sum |R| >= C(n,2); the
@@ -722,7 +721,7 @@ def deficiency_bounds(pres: Presentation, n: int) -> CheckReport:
         violations.append(f"|R| - |S| = {r - s} < C(n,2) - n = {comb(n, 2) - n}")
     if r < comb(n, 2):
         violations.append(f"|R| = {r} < C(n,2) = {comb(n, 2)}")
-    return CheckReport(not violations, tuple(violations))
+    return Report.of(violations)
 
 
 # ---------------------------------------------------------------------------

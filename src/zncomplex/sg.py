@@ -18,7 +18,7 @@ from math import lcm
 from .errors import SgHypothesisError
 from .hyperforest import hyperforest_report
 from .intlinalg import is_parallel, plane_key, primitive_direction, rank_of_rows
-from .simplicial import CheckReport
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def config(points, dimension: int | None = None) -> PointConfig:
     return PointConfig(dimension, pts)
 
 
-def linear_mode_report(cfg: PointConfig) -> CheckReport:
+def linear_mode_report(cfg: PointConfig) -> Report:
     """Nonzero integer points, pairwise distinct lines through the origin."""
     violations = []
     for i, p in enumerate(cfg.points):
@@ -56,7 +56,7 @@ def linear_mode_report(cfg: PointConfig) -> CheckReport:
             if is_parallel(u, v):
                 violations.append(
                     f"points {i} and {j} share a 1-dimensional subspace")
-    return CheckReport(not violations, tuple(violations))
+    return Report.of(violations)
 
 
 def _normal_candidates(dimension: int, max_norm: int):
@@ -130,22 +130,14 @@ def special_lines(cfg: PointConfig) -> dict:
     return {k: v for k, v in lines.items() if len(v) >= 3}
 
 
-@dataclass(frozen=True)
-class DeltaSgReport:
-    ok: bool
-    tallies: tuple[int, ...]
-    required: Fraction
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_delta_sg(cfg: PointConfig, delta) -> DeltaSgReport:
+def is_delta_sg(cfg: PointConfig, delta) -> Report:
     """Does every point see delta * (n-1) others on lines through >= 3 points?
 
     The comparison is exact rational; the per-point tallies count the other
     points lying on special lines through the point (two special lines
     through a point meet only there, so the counts add up line by line).
+    The witness is (required, tallies), whatever the verdict, with required
+    = delta * (n-1); a failure names the first point with the lowest tally.
     """
     delta = Fraction(delta)
     if not 0 <= delta <= 1:
@@ -157,8 +149,11 @@ def is_delta_sg(cfg: PointConfig, delta) -> DeltaSgReport:
         for i in members:
             tallies[i] += len(members) - 1
     required = delta * (n - 1)
-    ok = all(t >= required for t in tallies)
-    return DeltaSgReport(ok, tuple(tallies), required)
+    violations = []
+    if any(t < required for t in tallies):
+        worst = min(range(n), key=lambda i: tallies[i])
+        violations.append(f"point {worst} sees only {tallies[worst]}")
+    return Report.of(violations, (required, tuple(tallies)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +173,6 @@ class Hypergraph3:
                 raise ValueError(f"edge {sorted(e)} does not have 3 distinct members")
             if not e <= vset:
                 raise ValueError(f"edge {sorted(e)} uses unknown vertices")
-
-    def degrees(self) -> dict[int, int]:
-        out = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            for v in e:
-                out[v] += 1
-        return out
 
 
 def hypergraph(edges, num_vertices: int | None = None) -> Hypergraph3:
@@ -262,7 +250,7 @@ def sg_reduce(cfg: PointConfig, graph: Hypergraph3, threshold) -> SgReduction:
     for key in sorted(by_plane):
         forest = hyperforest_report(by_plane[key])
         if not forest:
-            raise SgHypothesisError(forest.witness_vertices)
+            raise SgHypothesisError(forest.witness[0])
     pruned = prune_min_degree(graph, threshold)
     removed = len(graph.edges) - len(pruned.edges)
     dim_span = rank_of_rows([cfg.points[v] for v in pruned.vertices]) \

@@ -18,26 +18,9 @@ from typing import AbstractSet, Iterable
 
 from .errors import InvalidComplexError, ScxFormatError, SpurError
 from .intlinalg import SnfResult, sparse_snf
+from .report import Report
 
 Face = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of a predicate: ok, or a list of human-readable violations."""
-
-    ok: bool
-    violations: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-OK = CheckReport(True)
-
-
-def _report(violations: list[str]) -> CheckReport:
-    return CheckReport(not violations, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -113,7 +96,7 @@ def maximal_faces(complex_: SimplicialComplex) -> list[Face]:
     return sorted(maximal)
 
 
-def validate(complex_: SimplicialComplex) -> CheckReport:
+def validate(complex_: SimplicialComplex) -> Report:
     """Check the downward-closure, labeling and coverage invariants."""
     violations: list[str] = []
     covered = set()
@@ -135,7 +118,7 @@ def validate(complex_: SimplicialComplex) -> CheckReport:
     for v in range(complex_.vertex_count):
         if v not in covered:
             violations.append(f"vertex {v} appears in no face")
-    return _report(violations)
+    return Report.of(violations)
 
 
 def require_valid(complex_: SimplicialComplex) -> None:
@@ -218,7 +201,7 @@ def homology_through(complex_: SimplicialComplex, top: int) -> list[Homology]:
 
 
 def is_spur(complex_: SimplicialComplex, u: int,
-            members: Iterable[int]) -> CheckReport:
+            members: Iterable[int]) -> Report:
     """Spur test for a set of vertices at the base vertex u.
 
     The members must all be adjacent to u, pairwise non-adjacent, and must
@@ -233,7 +216,7 @@ def is_spur(complex_: SimplicialComplex, u: int,
         if v not in known:
             raise ValueError(f"unknown vertex {v}")
     if u in members:
-        return _report([f"base vertex {u} is in the set"])
+        return Report.of([f"base vertex {u} is in the set"])
     violations = []
     for v in members:
         if not complex_.has_edge(u, v):
@@ -245,7 +228,7 @@ def is_spur(complex_: SimplicialComplex, u: int,
         if shared:
             violations.append(
                 f"members {v}, {w} share neighbor {min(shared)} besides {u}")
-    return _report(violations)
+    return Report.of(violations)
 
 
 def are_compatible(complex_: SimplicialComplex, u: int, first: Iterable[int],

@@ -7,8 +7,8 @@ import pytest
 
 from zncomplex import factorization
 from zncomplex.errors import PipelineStageError, UnsupportedSizeError
+from zncomplex.report import Report
 from zncomplex.factorization import (
-    OrthogonalityReport,
     OrthogonalPair,
     all_edges,
     dumps_pair,
@@ -106,7 +106,7 @@ def test_orthogonal_pair_verified_once(monkeypatch):
 
     def failing(pair):
         calls.append(pair)
-        return OrthogonalityReport(False, witness)
+        return Report(False, ("edges share a matching",), witness)
 
     monkeypatch.setattr(factorization, "verify_orthogonal_pair", failing)
     with pytest.raises(PipelineStageError) as info:

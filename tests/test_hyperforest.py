@@ -58,9 +58,9 @@ def test_hyperforest_report_witness():
                        for s in combinations(range(n), size))
         assert bool(report) == expected
         if not report:
-            witness = report.witness_vertices
-            assert all(edges[i] <= witness for i in report.witness_edges)
-            assert len(report.witness_edges) > len(witness) - 1
+            witness, witness_edges = report.witness
+            assert all(edges[i] <= witness for i in witness_edges)
+            assert len(witness_edges) > len(witness) - 1
 
 
 def test_insertion_order_keeps_size_and_components():

@@ -153,3 +153,56 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, text):
     assert main([command, str(bad)] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Golden outputs: the exact stdout and exit code of three commands, so that a
+# change to the report types underneath cannot change what the CLI prints.
+
+GOLDEN_PIPELINE_INTRO3 = (
+    "reduction pipeline, c = 24\n"
+    "[pass] abelianize: |S| = 6, |R| = 6, rank = 3\n"
+    "[pass] minimize: |S| = 6, |R| = 6, rank = 3\n"
+    "[pass] maximal-sparse: |S| = 6, |R| = 6, rank = 3  (|R'| = 6)\n"
+    "[pass] sg-reduce: |S| = 6, |R| = 6, rank = 3  (threshold 48, kept 0 "
+    "points, span 0 <= 3/2, removed 6 < 288)\n"
+    "[pass] augment: |S| = 6, |R| = 6, rank = 3  (|S'| = 0, d = 0)\n"
+    "[pass] partition: |S| = 6, |R| = 6, rank = 3  "
+    "(|R_s| = 6, |R_e| = 0, |R_o| = 0)\n"
+    "[pass] replace-sparse: |S| = 15, |R| = 15, rank = 3  "
+    "(|R|-|S| = 0 = |R_s|+|R_o|-|S| = 0)\n"
+    "[pass] replace-subspace: |S| = 15, |R| = 15, rank = 3  "
+    "(rank dropped by d = 0)\n"
+    "[pass] strip-other: |S| = 15, |R| = 15, rank = 3  "
+    "(stripped 0 trivial relations)\n"
+    "[pass] final: |S| = 15, |R| = 15, rank = 3  "
+    "(|R|-|S| = 0, chain value 0, bound 288)\n"
+    "final |R| - |S| = 0 <= 288 = c k^2 / n + d: pass\n"
+)
+
+
+def test_cli_golden_verify_uncovered_vertices(tmp_path, capsys):
+    scx = tmp_path / "uncovered.scx"
+    scx.write_text("scx 1\nv 5\n0 1 2\n")
+    assert main(["verify", str(scx)]) == 1
+    assert capsys.readouterr().out == (
+        "vertex 3 appears in no face\nvertex 4 appears in no face\n")
+
+
+@pytest.mark.parametrize("points, delta, code, out", [
+    ([(i, i) for i in range(4)], "1", 0,
+     "threshold delta*(n-1) = 3\ntallies: 3 3 3 3\nconfiguration passes\n"),
+    ([(0, 0), (1, 1), (2, 2), (0, 1)], "1/2", 1,
+     "threshold delta*(n-1) = 3/2\ntallies: 2 2 2 0\npoint 3 sees only 0\n"),
+], ids=["passing", "failing"])
+def test_cli_golden_sg_check(tmp_path, capsys, points, delta, code, out):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points_to_json(config(points))))
+    assert main(["sg-check", str(path), "--delta", delta]) == code
+    assert capsys.readouterr().out == out
+
+
+def test_cli_golden_pipeline_intro3(tmp_path, capsys):
+    path = tmp_path / "intro3.json"
+    path.write_text(dumps_presentation(standard_zn(3, "intro3")))
+    assert main(["pipeline", str(path)]) == 0
+    assert capsys.readouterr().out == GOLDEN_PIPELINE_INTRO3

@@ -30,6 +30,7 @@ from zncomplex.presentation import (
     relations_on,
     replace1,
     replace2,
+    replace_subspace,
     standard_zn,
     subset_dimension,
 )
@@ -411,6 +412,26 @@ def test_minimize_checks_its_result_explicitly():
     script = ("from zncomplex.presentation import AbelianMap, Presentation, minimize\n"
               "pres = Presentation(('a', 'b'), ((('a', 1), ('b', 1)),))\n"
               "minimize(pres, AbelianMap(2, {'a': (1, 0), 'b': (0, 1)}))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        zncomplex.__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and "PipelineStageError" in done.stderr
+
+
+def test_replace_subspace_rejects_images_that_do_not_generate():
+    # The images 2 and 4 span 2Z, so the basis vector 1 of Z^1 is reached
+    # by no word in the generators.
+    pres = Presentation(("a", "b"), ())
+    phi = AbelianMap(1, {"a": (2,), "b": (4,)})
+    with pytest.raises(PipelineStageError) as info:
+        replace_subspace(pres, phi, ["a"])
+    assert info.value.stage == "replace-subspace" and info.value.witness == 0
+    # The check is not an assert, so it also runs under python -O.
+    script = ("from zncomplex.presentation import AbelianMap, Presentation, "
+              "replace_subspace\n"
+              "replace_subspace(Presentation(('a', 'b'), ()),\n"
+              "                 AbelianMap(1, {'a': (2,), 'b': (4,)}), ['a'])\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
         zncomplex.__file__)))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
