@@ -103,9 +103,17 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator raising ValueError (exit 2)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def _cmd_sg_check(args) -> int:
     cfg = sg.read_points(args.file)
-    report = sg.is_delta_sg(cfg, Fraction(args.delta))
+    report = sg.is_delta_sg(cfg, _rational(args.delta))
     required, tallies = report.witness
     print(f"threshold delta*(n-1) = {required}")
     print("tallies: " + " ".join(str(t) for t in tallies))
@@ -119,7 +127,7 @@ def _cmd_sg_check(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     pres = presentation.read_presentation(args.file)
-    report = pipeline.run_lower(pres, c=Fraction(args.c))
+    report = pipeline.run_lower(pres, c=_rational(args.c))
     sys.stdout.write(report.render())
     return 0 if report.ok else 1
 

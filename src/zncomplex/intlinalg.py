@@ -4,10 +4,13 @@ Everything here works with arbitrary-precision Python integers; there is no
 floating point.  Matrices are plain lists of lists (rows), except for
 sparse_snf, which takes sparse columns.
 
-Homology (simplicial.homology and homology_through) uses sparse_snf: it
-eliminates unit pivots in Markowitz order and hands only what is left to
-smith_normal_form.  smith_normal_form, with its optional transforms, serves
-every caller that needs the left or right matrix.
+One elimination core, _eliminate_units, takes out the unit pivots of a
+sparse matrix in Markowitz order.  Homology (simplicial.homology and
+homology_through) reaches it through sparse_snf, and the abelianization
+(presentation.abelian_images) calls it directly to log each eliminated
+generator's substitution; both hand only what is left to smith_normal_form.
+smith_normal_form, with its optional transforms, serves every caller that
+needs the left or right matrix.
 """
 
 from __future__ import annotations
@@ -257,22 +260,26 @@ def smith_normal_form(matrix, want_left: bool = False,
     )
 
 
-def sparse_snf(columns, row_count: int) -> SnfResult:
-    """Smith normal form of a sparse integer matrix, without transforms.
+def _eliminate_units(columns, row_count: int, record: bool = False):
+    """Eliminate the +-1 pivots of a sparse integer matrix in Markowitz order.
 
     columns[j] maps a row index in 0..row_count-1 to the entry of column j;
-    absent and zero entries are zero.  The result equals
-    smith_normal_form(dense).diagonal and .rank, because the Smith diagonal
-    is unique.
+    absent and zero entries are zero.  Every +-1 entry is a candidate pivot,
+    taken cheapest first by its Markowitz cost (row count - 1) * (column
+    count - 1).  A lazy heap holds the candidates: a popped cost that has
+    since grown is pushed back with its current value, and entries that
+    fill in as +-1 are pushed as they appear.  Eliminating a unit pivot p at
+    (i, j) takes row i and column j out and leaves the Schur complement
+    a_rc - a_rj * p * a_ic on the rest (Dumas, Saunders & Villard 2001).
 
-    Every +-1 entry is a candidate pivot, taken cheapest first by its
-    Markowitz cost (row count - 1) * (column count - 1).  A lazy heap holds
-    the candidates: a popped cost that has since grown is pushed back with
-    its current value, and entries that fill in as +-1 are pushed as they
-    appear.  Eliminating a unit pivot takes row and column out and leaves a
-    1 on the diagonal (Dumas, Saunders & Villard 2001).  Once no unit is
-    left, smith_normal_form diagonalizes the dense remainder, if there is
-    one.
+    Returns (rows, cols, units, steps): the remainder as sparse rows and
+    columns (eliminated ones empty), the number of pivots, and, when
+    record is set, one (i, p, column) per pivot in elimination order, where
+    column holds column j's entries at that moment, row i's included.  Read
+    with the columns as relations on the row generators e_r, a step says
+    e_i = -p * sum(a_kj * e_k for k != i) modulo the relations left.
+    sparse_snf and presentation.abelian_images share this core; only the
+    latter records.
     """
     cols: list[dict[int, int]] = []
     rows: list[dict[int, int]] = [{} for _ in range(row_count)]
@@ -290,6 +297,7 @@ def sparse_snf(columns, row_count: int) -> SnfResult:
             if v == 1 or v == -1]
     heapify(heap)
     units = 0
+    steps = [] if record else None
     while heap:
         cost, i, j = heappop(heap)
         pivot_row = rows[i]
@@ -302,6 +310,8 @@ def sparse_snf(columns, row_count: int) -> SnfResult:
             heappush(heap, (now, i, j))
             continue
         units += 1
+        if record:
+            steps.append((i, p, pivot_col))
         rows[i] = {}
         cols[j] = {}
         for c in pivot_row:
@@ -325,7 +335,23 @@ def sparse_snf(columns, row_count: int) -> SnfResult:
                 elif c in row:
                     del row[c]
                     del cols[c][r]
+    return rows, cols, units, steps
 
+
+def sparse_snf(columns, row_count: int) -> SnfResult:
+    """Smith normal form of a sparse integer matrix, without transforms.
+
+    columns[j] maps a row index in 0..row_count-1 to the entry of column j;
+    absent and zero entries are zero.  The result equals
+    smith_normal_form(dense).diagonal and .rank, because the Smith diagonal
+    is unique.
+
+    The unit pivots go first, through _eliminate_units (the core that
+    presentation.abelian_images shares); each leaves a 1 on the diagonal.
+    Once no unit is left, smith_normal_form diagonalizes the dense
+    remainder, if there is one.
+    """
+    rows, cols, units, _ = _eliminate_units(columns, row_count)
     live_cols = [j for j, col in enumerate(cols) if col]
     rest = [[row.get(j, 0) for j in live_cols] for row in rows if row]
     nonzero = (1,) * units

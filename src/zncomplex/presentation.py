@@ -2,7 +2,7 @@
 
 Words are tuples of (generator, exponent) syllables.  The module provides
 normal forms, presentation extraction from a complex via a spanning tree,
-the abelianization map realized through the Smith form of the relation
+the abelianization map read off unit-pivot elimination of the relation
 matrix, sparsity analysis of relation sets over 2-dimensional planes, and
 the generator-eliminating rewrites used by the reduction pipeline.  All of
 it is pure-value code over exact integers.
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .hyperforest import PebbleGame, hyperforest_report
 from .intlinalg import (
+    _eliminate_units,
     invert_unimodular,
     plane_key,
     primitive_direction,
@@ -188,18 +189,11 @@ class AbelianMap:
         return self.images[g]
 
 
-def exponent_matrix(pres: Presentation) -> list[list[int]]:
-    """|S| x |R| matrix of exponent sums (rows: generators, cols: relations)."""
-    index = {g: i for i, g in enumerate(pres.generators)}
-    matrix = [[0] * len(pres.relations) for _ in pres.generators]
-    for j, rel in enumerate(pres.relations):
-        for g, e in rel:
-            matrix[index[g]][j] += e
-    return matrix
-
-
 def exponent_columns(pres: Presentation) -> list[dict[int, int]]:
-    """The exponent matrix as sparse columns: {generator index: sum} per relation."""
+    """The exponent matrix as sparse columns: {generator index: sum} per relation.
+
+    The matrix is |S| x |R|: one row per generator, one column per relation.
+    """
     index = {g: i for i, g in enumerate(pres.generators)}
     columns = []
     for rel in pres.relations:
@@ -211,25 +205,36 @@ def exponent_columns(pres: Presentation) -> list[dict[int, int]]:
 
 
 def abelian_images(pres: Presentation) -> AbelianMap:
-    """The map onto the free abelianization, from the Smith form.
+    """The map onto the free abelianization, by sparse unit elimination.
 
-    With U A V = D for the exponent matrix A, the quotient of Z^{|S|} by the
-    relation lattice is read off the bottom rows of U; those rows give each
-    generator an image in Z^n, every relation maps to zero, and the images
-    generate Z^n.  Raises NotFreeAbelianError when an invariant factor
-    exceeds one.
+    The abelianization is Z^{|S|} modulo the columns of the exponent matrix.
+    intlinalg._eliminate_units, the core sparse_snf shares, takes out one
+    generator per unit pivot and logs its substitution e_i = -p * sum(a_k
+    e_k).  The generators left over are presented by the non-unit
+    remainder R: with U R V = D, the bottom rows of U give their images
+    (U is the identity, so the images are unit vectors, when nothing
+    remains).  Back-substituting the log in reverse order gives the image
+    of every eliminated generator.  Every relation maps to zero and the
+    images generate Z^n.  Raises NotFreeAbelianError when an invariant
+    factor exceeds one.
     """
-    matrix = exponent_matrix(pres)
     k = len(pres.generators)
-    snf = smith_normal_form(matrix, want_left=True)
+    rows, cols, _, steps = _eliminate_units(exponent_columns(pres), k, record=True)
+    eliminated = {i for i, _, _ in steps}
+    survivors = [i for i in range(k) if i not in eliminated]
+    live = [j for j, col in enumerate(cols) if col]
+    snf = smith_normal_form([[rows[i].get(j, 0) for j in live] for i in survivors],
+                            want_left=True)
     if snf.torsion:
         raise NotFreeAbelianError(snf.torsion)
-    rank = k - snf.rank
-    images = {
-        g: tuple(snf.left[i][idx] for i in range(snf.rank, k))
-        for idx, g in enumerate(pres.generators)
-    }
-    return AbelianMap(rank=rank, images=images)
+    basis = snf.left[snf.rank:]
+    rank = len(basis)
+    images = {i: tuple(u[t] for u in basis) for t, i in enumerate(survivors)}
+    for i, p, column in reversed(steps):
+        terms = [(p * a, images[r]) for r, a in column.items() if r != i]
+        images[i] = tuple(-sum(c * v[t] for c, v in terms) for t in range(rank))
+    return AbelianMap(rank=rank, images={g: images[idx]
+                                         for idx, g in enumerate(pres.generators)})
 
 
 def subset_dimension(phi: AbelianMap, generators) -> int:

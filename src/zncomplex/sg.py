@@ -138,11 +138,14 @@ def is_delta_sg(cfg: PointConfig, delta) -> Report:
     through a point meet only there, so the counts add up line by line).
     The witness is (required, tallies), whatever the verdict, with required
     = delta * (n-1); a failure names the first point with the lowest tally.
+    An empty configuration (n = 0) raises ValueError.
     """
     delta = Fraction(delta)
     if not 0 <= delta <= 1:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
     n = len(cfg.points)
+    if n == 0:
+        raise ValueError("the configuration has no points")
     lines = special_lines(cfg)
     tallies = [0] * n
     for members in lines.values():

@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from abelian_oracle import exponent_matrix
 from zncomplex.construction import build_spurs, build_w, build_x, torus_block
 from zncomplex.errors import UnsupportedSizeError
 from zncomplex.factorization import (
@@ -29,7 +30,6 @@ from zncomplex.presentation import (
     abelian_images,
     critical_collection,
     deficiency_bounds,
-    exponent_matrix,
     extract_presentation,
     is_sparse,
     maximal_sparse_subset,

@@ -1,15 +1,18 @@
 """End-to-end drivers and the command line."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from zncomplex.cli import main
+from zncomplex.construction import build_x
 from zncomplex.errors import PipelineStageError
 from zncomplex.pipeline import report_bounds, run_lower, run_upper
 from zncomplex.presentation import (
     Presentation,
     dumps_presentation,
+    extract_presentation,
     loads_presentation,
     standard_zn,
 )
@@ -206,3 +209,79 @@ def test_cli_golden_pipeline_intro3(tmp_path, capsys):
     path.write_text(dumps_presentation(standard_zn(3, "intro3")))
     assert main(["pipeline", str(path)]) == 0
     assert capsys.readouterr().out == GOLDEN_PIPELINE_INTRO3
+
+
+# run_lower on the presentation of X_10 at both workload thresholds, captured
+# before the abelianization moved to sparse unit elimination: the images
+# change by a basis change of Z^n, which must not change the text.
+
+GOLDEN_LOWER_X10_C24 = (
+    "reduction pipeline, c = 24\n"
+    "[pass] abelianize: |S| = 595, |R| = 630, rank = 10\n"
+    "[pass] minimize: |S| = 55, |R| = 90, rank = 10\n"
+    "[pass] maximal-sparse: |S| = 55, |R| = 90, rank = 10  (|R'| = 90)\n"
+    "[pass] sg-reduce: |S| = 55, |R| = 90, rank = 10"
+    "  (threshold 132, kept 0 points, span 0 <= 5, removed 90 < 7260)\n"
+    "[pass] augment: |S| = 55, |R| = 90, rank = 10  (|S'| = 0, d = 0)\n"
+    "[pass] partition: |S| = 55, |R| = 90, rank = 10"
+    "  (|R_s| = 90, |R_e| = 0, |R_o| = 0)\n"
+    "[pass] replace-sparse: |S| = 190, |R| = 225, rank = 10"
+    "  (|R|-|S| = 35 = |R_s|+|R_o|-|S| = 35)\n"
+    "[pass] replace-subspace: |S| = 190, |R| = 225, rank = 10"
+    "  (rank dropped by d = 0)\n"
+    "[pass] strip-other: |S| = 190, |R| = 225, rank = 10"
+    "  (stripped 0 trivial relations)\n"
+    "[pass] final: |S| = 190, |R| = 225, rank = 10"
+    "  (|R|-|S| = 35, chain value 35, bound 7260)\n"
+    "final |R| - |S| = 35 <= 7260 = c k^2 / n + d: pass\n"
+)
+
+GOLDEN_LOWER_X10_C1_8 = (
+    "reduction pipeline, c = 1/8\n"
+    "[pass] abelianize: |S| = 595, |R| = 630, rank = 10\n"
+    "[pass] minimize: |S| = 55, |R| = 90, rank = 10\n"
+    "[pass] maximal-sparse: |S| = 55, |R| = 90, rank = 10  (|R'| = 90)\n"
+    "[pass] sg-reduce: |S| = 55, |R| = 90, rank = 10"
+    "  (threshold 11/16, kept 55 points, span 10 <= 960, removed 0 < 605/16)\n"
+    "[pass] augment: |S| = 55, |R| = 90, rank = 10  (|S'| = 55, d = 10)\n"
+    "[pass] partition: |S| = 55, |R| = 90, rank = 10"
+    "  (|R_s| = 0, |R_e| = 0, |R_o| = 90)\n"
+    "[pass] replace-sparse: |S| = 55, |R| = 90, rank = 10"
+    "  (|R|-|S| = 35 = |R_s|+|R_o|-|S| = 35)\n"
+    "[pass] replace-subspace: |S| = 0, |R| = 100, rank = 0"
+    "  (rank dropped by d = 10)\n"
+    "[pass] strip-other: |S| = 0, |R| = 10, rank = 0"
+    "  (stripped 90 trivial relations)\n"
+    "[pass] final: |S| = 0, |R| = 10, rank = 0"
+    "  (|R|-|S| = 10, chain value 10, bound 765/16)\n"
+    "final |R| - |S| = 10 <= 765/16 = c k^2 / n + d: pass\n"
+)
+
+
+def test_golden_run_lower_x10():
+    pres = extract_presentation(build_x(10), 0)
+    assert run_lower(pres, 24).render() == GOLDEN_LOWER_X10_C24
+    assert run_lower(pres, Fraction(1, 8)).render() == GOLDEN_LOWER_X10_C1_8
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sg-check", "--delta"), ("pipeline", "--c")])
+def test_cli_zero_denominator_exits_2(tmp_path, capsys, command, flag):
+    path = tmp_path / "input.json"
+    if command == "sg-check":
+        path.write_text(json.dumps(points_to_json(config([(0, 0), (1, 1)]))))
+    else:
+        path.write_text(dumps_presentation(standard_zn(2, "intro3")))
+    assert main([command, str(path), flag, "1/0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: '1/0' has a zero denominator\n"
+
+
+def test_cli_sg_check_empty_configuration_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"dimension": 2, "points": []}')
+    assert main(["sg-check", str(path), "--delta", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the configuration has no points\n"

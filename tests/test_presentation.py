@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zncomplex
+from abelian_oracle import dense_abelian_images, exponent_matrix
 from zncomplex.construction import build_x, torus_block
 from zncomplex.errors import NotFreeAbelianError, PipelineStageError, TooLongError
 from zncomplex.presentation import (
@@ -21,7 +22,7 @@ from zncomplex.presentation import (
     abelian_images,
     deficiency_bounds,
     dumps_presentation,
-    exponent_matrix,
+    exponent_columns,
     extract_presentation,
     is_3_presentation,
     loads_presentation,
@@ -34,7 +35,12 @@ from zncomplex.presentation import (
     standard_zn,
     subset_dimension,
 )
-from zncomplex.intlinalg import is_parallel, rank_of_rows, smith_normal_form
+from zncomplex.intlinalg import (
+    _eliminate_units,
+    is_parallel,
+    rank_of_rows,
+    smith_normal_form,
+)
 from zncomplex.simplicial import from_maximal_faces
 
 
@@ -151,6 +157,90 @@ def test_abelian_images_torsion():
     with pytest.raises(NotFreeAbelianError) as info:
         abelian_images(Presentation(("g",), ((("g", 2),),)))
     assert info.value.torsion == (2,)
+
+
+def abelian_outcome(abelianize, pres):
+    """("free", phi) or ("torsion", invariant factors) for one abelianization."""
+    try:
+        return "free", abelianize(pres)
+    except NotFreeAbelianError as exc:
+        return "torsion", exc.torsion
+
+
+def check_against_dense_oracle(pres):
+    """abelian_images against the dense Smith-form oracle; returns the verdict.
+
+    Both must agree on torsion or on the rank.  The images must kill every
+    relation and generate Z^n (their Smith diagonal is all ones).  The
+    oracle's kernel is exactly the relation lattice, so these checks make
+    the two image sets differ by a unimodular change of basis.
+    """
+    kind, got = abelian_outcome(abelian_images, pres)
+    oracle_kind, oracle = abelian_outcome(dense_abelian_images, pres)
+    assert kind == oracle_kind, pres
+    if kind == "torsion":
+        assert got == oracle, pres
+        return kind
+    assert got.rank == oracle.rank, pres
+    assert set(got.images) == set(pres.generators)
+    for rel in pres.relations:
+        total = [0] * got.rank
+        for g, e in rel:
+            total = [t + e * x for t, x in zip(total, got.vector(g))]
+        assert not any(total), (pres, rel)
+    snf = smith_normal_form([list(v) for v in got.images.values()])
+    assert snf.diagonal == (1,) * got.rank, pres
+    return kind
+
+
+@pytest.mark.parametrize("m", range(7, 13))
+def test_abelian_images_matches_dense_oracle_on_extracted_complexes(m):
+    pres = extract_presentation(build_x(m), 0)
+    assert check_against_dense_oracle(pres) == "free"
+    assert abelian_images(pres).rank == m
+
+
+def test_abelian_images_matches_dense_oracle_on_examples():
+    g2h3 = Presentation(("g", "h"), ((("g", 2), ("h", 3)),))
+    assert check_against_dense_oracle(g2h3) == "free"  # non-unit remainder
+    assert abelian_images(g2h3).rank == 1
+    both = Presentation(("g", "h"), ((("g", 2), ("h", 3)), (("g", 3), ("h", 2))))
+    assert check_against_dense_oracle(both) == "torsion"
+    with pytest.raises(NotFreeAbelianError) as info:
+        abelian_images(both)
+    assert info.value.torsion == (5,)
+    klein = Presentation(("a", "b"), ((("a", 1), ("b", 1), ("a", 1), ("b", -1)),))
+    assert check_against_dense_oracle(klein) == "torsion"
+    with pytest.raises(NotFreeAbelianError) as info:
+        abelian_images(klein)
+    assert info.value.torsion == (2,)
+    # units eliminated around a remainder, plus a generator in no relation
+    mixed = Presentation(("a", "b", "c", "z"), (
+        (("a", 1), ("b", 2)), (("b", 2), ("c", 3))))
+    _, cols, units, _ = _eliminate_units(exponent_columns(mixed), 4)
+    assert units == 1 and cols[1] == {1: 2, 2: 3}
+    assert check_against_dense_oracle(mixed) == "free"
+    assert abelian_images(mixed).rank == 2
+    assert check_against_dense_oracle(Presentation((), ())) == "free"
+
+
+def test_abelian_images_matches_dense_oracle_on_random_presentations():
+    rng = random.Random(70707)
+    seen = {("free", False): 0, ("free", True): 0, ("torsion", True): 0}
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        gens = tuple(f"g{i}" for i in range(k))
+        relations = tuple(
+            tuple((rng.choice(gens), rng.choice((-3, -2, -1, 1, 2, 3)))
+                  for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, k + 1)))
+        pres = Presentation(gens, relations)
+        _, cols, _, _ = _eliminate_units(exponent_columns(pres), k)
+        seen[check_against_dense_oracle(pres), any(cols)] += 1
+    # 112 free without a remainder, 32 free with one, 156 with torsion
+    assert seen[("free", True)] >= 20
+    assert seen[("free", False)] >= 50
+    assert seen[("torsion", True)] >= 50
 
 
 def test_subset_dimension():

@@ -136,6 +136,12 @@ def test_is_delta_sg_examples():
     assert not is_delta_sg(grid, 1)
 
 
+def test_is_delta_sg_rejects_empty_configuration():
+    with pytest.raises(ValueError, match="no points"):
+        is_delta_sg(config([], dimension=2), Fraction(1, 2))
+    assert is_delta_sg(config([(1, 2)]), Fraction(1, 2))  # one point: 0 >= 0
+
+
 def test_is_delta_sg_matches_brute_force():
     rng = random.Random(9177)
     for _ in range(80):

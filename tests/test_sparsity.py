@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from abelian_oracle import exponent_matrix
 from zncomplex.errors import SparsityError
 from zncomplex.presentation import (
     AbelianMap,
@@ -14,7 +15,6 @@ from zncomplex.presentation import (
     SparsityPartition,
     abelian_images,
     critical_collection,
-    exponent_matrix,
     is_sparse,
     maximal_sparse_subset,
     normalize,
