@@ -39,6 +39,7 @@ from .sg import PointConfig, is_delta_sg, prune_min_degree, sg_reduce
 from .simplicial import (
     SimplicialComplex,
     collapse_spur,
+    collapse_spurs,
     euler_characteristic,
     homology,
     is_spur,
@@ -58,6 +59,7 @@ __all__ = [
     "build_w",
     "build_x",
     "collapse_spur",
+    "collapse_spurs",
     "euler_characteristic",
     "extract_presentation",
     "homology",

@@ -3,7 +3,8 @@
 build_w(n) assembles the complex on n^2 + n + 1 vertices from one 7-vertex
 torus block per index pair; build_spurs partitions its two-index vertices
 into pairwise compatible spurs using an orthogonal pair of 1-factorizations;
-build_x collapses those spurs one by one.
+build_x collapses all of those spurs in one pass of simplicial.collapse_spurs,
+which checks each spur in the quotient left by the ones before it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from itertools import combinations
 
 from .errors import UnsupportedSizeError
 from .factorization import OrthogonalPair, orthogonal_pair
-from .simplicial import SimplicialComplex, from_maximal_faces
-from .simplicial import collapse_spur as _collapse
+from .simplicial import SimplicialComplex, collapse_spurs, from_maximal_faces
 
 # Triangles of the 7-vertex torus block, read off its planar diagram as
 # index patterns over (u, vi1, vi2, vj1, vj2, w1, w2).  Together with the
@@ -163,21 +163,11 @@ def build_x_trace(m: int) -> CollapseTrace:
     complex_, labeling = build_w(m)
     pair = orthogonal_pair(2 * n)
     spurs = build_spurs(n, parity, pair, labeling)
-    current = complex_
-    total = {v: v for v in range(complex_.vertex_count)}
-    pending = [set(s.members) for s in spurs]
-    base = labeling.u
-    for idx, members in enumerate(pending):
-        current, step = _collapse(current, base, members)
-        base = step[base]
-        for later in pending[idx + 1:]:
-            remapped = {step[v] for v in later}
-            later.clear()
-            later.update(remapped)
-        total = {v: step[img] for v, img in total.items()}
+    result, vertex_map = collapse_spurs(complex_, labeling.u,
+                                        [s.members for s in spurs])
     return CollapseTrace(m=m, n=n, parity=parity, start=complex_,
                          labeling=labeling, pair=pair, spurs=spurs,
-                         result=current, vertex_map=total)
+                         result=result, vertex_map=vertex_map)
 
 
 def build_x(m: int) -> SimplicialComplex:

@@ -4,6 +4,11 @@ A complex stores every face explicitly (the complexes here are 2-dimensional
 and small) as strictly increasing vertex tuples.  All operations are pure;
 nothing mutates a complex in place.
 
+collapse_spurs identifies a whole sequence of spurs in one pass: it keeps one
+mutable neighbor map of the quotient, checks each spur against it with the
+rules of is_spur, and compacts the ids and rewrites the faces once at the
+end.  collapse_spur is its one-spur case.
+
 Homology builds each boundary map once as sparse columns and reduces it once
 with intlinalg.sparse_snf; boundary_matrix is the dense rendering of the same
 map.
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import InvalidComplexError, ScxFormatError, SpurError
 from .intlinalg import SnfResult, sparse_snf
@@ -82,18 +87,17 @@ def from_maximal_faces(maximal: Iterable[Iterable[int]],
 
 
 def maximal_faces(complex_: SimplicialComplex) -> list[Face]:
-    """Faces not strictly contained in another face, in lexicographic order."""
-    by_size = sorted(complex_.faces, key=len, reverse=True)
-    maximal: list[Face] = []
-    seen: set[Face] = set()
-    for f in by_size:
-        fs = set(f)
-        if any(fs < set(g) for g in maximal if len(g) > len(f)):
-            continue
-        if f not in seen:
-            maximal.append(f)
-            seen.add(f)
-    return sorted(maximal)
+    """Faces not strictly contained in another face, in lexicographic order.
+
+    Every proper subset of every face is marked, so the cost is O(F * 2^d)
+    for F faces of at most d + 1 vertices; the stored face set need not be
+    downward-closed.
+    """
+    contained: set[Face] = set()
+    for f in complex_.faces:
+        for k in range(len(f)):
+            contained.update(combinations(f, k))
+    return sorted(f for f in complex_.faces if f not in contained)
 
 
 def validate(complex_: SimplicialComplex) -> Report:
@@ -200,35 +204,50 @@ def homology_through(complex_: SimplicialComplex, top: int) -> list[Homology]:
             for k in range(top + 1)]
 
 
+def _spur_violations(adjacency: Mapping[int, AbstractSet[int]], u: int,
+                     members: list[int]) -> list[str]:
+    """is_spur's rules over a vertex -> neighbor-set map.
+
+    members is sorted and duplicate-free; a vertex missing from the map has
+    no neighbors.
+    """
+    if u in members:
+        return [f"base vertex {u} is in the set"]
+    none: frozenset[int] = frozenset()
+    base_neighbors = adjacency.get(u, none)
+    violations = []
+    for v in members:
+        if v not in base_neighbors:
+            violations.append(f"member {v} is not adjacent to base {u}")
+    for v, w in combinations(members, 2):
+        v_neighbors = adjacency.get(v, none)
+        if w in v_neighbors:
+            violations.append(f"members {v}, {w} are adjacent")
+        shared = (v_neighbors & adjacency.get(w, none)) - {u}
+        if shared:
+            violations.append(
+                f"members {v}, {w} share neighbor {min(shared)} besides {u}")
+    return violations
+
+
+def _require_known(complex_: SimplicialComplex, vertices: Iterable[int]) -> None:
+    known = range(complex_.vertex_count)
+    for v in vertices:
+        if v not in known:
+            raise ValueError(f"unknown vertex {v}")
+
+
 def is_spur(complex_: SimplicialComplex, u: int,
             members: Iterable[int]) -> Report:
     """Spur test for a set of vertices at the base vertex u.
 
     The members must all be adjacent to u, pairwise non-adjacent, and must
     share no common neighbor other than u.  The empty set passes vacuously
-    (it collapses to a fresh pendant vertex, see collapse_spur).
+    (it collapses to a fresh pendant vertex, see collapse_spurs).
     """
     members = sorted(set(members))
-    known = range(complex_.vertex_count)
-    if u not in known:
-        raise ValueError(f"unknown vertex {u}")
-    for v in members:
-        if v not in known:
-            raise ValueError(f"unknown vertex {v}")
-    if u in members:
-        return Report.of([f"base vertex {u} is in the set"])
-    violations = []
-    for v in members:
-        if not complex_.has_edge(u, v):
-            violations.append(f"member {v} is not adjacent to base {u}")
-    for v, w in combinations(members, 2):
-        if complex_.has_edge(v, w):
-            violations.append(f"members {v}, {w} are adjacent")
-        shared = (complex_.neighbors(v) & complex_.neighbors(w)) - {u}
-        if shared:
-            violations.append(
-                f"members {v}, {w} share neighbor {min(shared)} besides {u}")
-    return Report.of(violations)
+    _require_known(complex_, [u, *members])
+    return Report.of(_spur_violations(complex_._adjacency, u, members))
 
 
 def are_compatible(complex_: SimplicialComplex, u: int, first: Iterable[int],
@@ -252,36 +271,79 @@ def _compatible(complex_: SimplicialComplex, first: AbstractSet[int],
     return cross <= 1
 
 
+def collapse_spurs(complex_: SimplicialComplex, u: int,
+                   spurs: Iterable[Iterable[int]]
+                   ) -> tuple[SimplicialComplex, dict[int, int]]:
+    """Collapse a sequence of spurs at u, in order, in one pass.
+
+    Each spur is given by the original ids of its members and is checked
+    with is_spur's rules in the quotient it meets, that is after every
+    earlier spur in the sequence has been identified (members identified
+    with each other already count once); the first that fails raises
+    SpurError, whose violations name each class of identified vertices by
+    its smallest original id.  Identifying a nonempty spur merges its
+    members' classes.  The empty spur attaches a fresh pendant vertex at u
+    (the identification still introduces its one new vertex and the edge to
+    u), which keeps the vertex accounting of spur partitions uniform and
+    does not change the homotopy type.
+
+    Ids are compacted once at the end: the surviving classes are numbered in
+    the order of their smallest original ids, and the fresh pendant vertices
+    follow, in the order of their spurs.  This is the numbering that
+    collapsing the spurs one at a time and compacting after each step gives.
+    Returns the quotient and the map from every original vertex to its id.
+    """
+    count = complex_.vertex_count
+    _require_known(complex_, [u])
+    # The quotient's edges, over class ids; a spur identifies no two vertices
+    # of one face, so every edge of the quotient is the image of an edge.
+    adjacency = {v: set(ns) for v, ns in complex_._adjacency.items()}
+    class_of = list(range(count))
+    members_of: dict[int, list[int]] = {}
+    pendants = 0
+    for spur in spurs:
+        members = sorted(set(spur))
+        _require_known(complex_, members)
+        classes = sorted({class_of[v] for v in members})
+        violations = _spur_violations(adjacency, class_of[u], classes)
+        if violations:
+            raise SpurError(Report.of(violations))
+        if not classes:
+            pendants += 1
+            continue
+        target = classes[0]
+        target_neighbors = adjacency.setdefault(target, set())
+        target_members = members_of.setdefault(target, [target])
+        for merged in classes[1:]:
+            for x in adjacency.pop(merged, ()):
+                x_neighbors = adjacency[x]
+                x_neighbors.discard(merged)
+                x_neighbors.add(target)
+                target_neighbors.add(x)
+            moved = members_of.pop(merged, [merged])
+            for v in moved:
+                class_of[v] = target
+            target_members.extend(moved)
+    survivors = [v for v in range(count) if class_of[v] == v]
+    compact = {v: i for i, v in enumerate(survivors)}
+    mapping = {v: compact[class_of[v]] for v in range(count)}
+    faces = {tuple(sorted(mapping[v] for v in f)) for f in complex_.faces}
+    base = mapping[u]
+    for w in range(len(survivors), len(survivors) + pendants):
+        faces.add((w,))
+        faces.add((base, w))
+    return (SimplicialComplex(frozenset(faces), len(survivors) + pendants),
+            mapping)
+
+
 def collapse_spur(complex_: SimplicialComplex, u: int,
                   members: Iterable[int]) -> tuple[SimplicialComplex, dict[int, int]]:
-    """Identify a spur to one vertex; returns the quotient and the vertex map.
+    """Identify one spur to a vertex; collapse_spurs with a single spur.
 
-    The identified vertex keeps the smallest id in the set, and ids are
-    compacted afterwards; the returned map sends every old vertex to its new
-    id.  Collapsing the empty set degenerates to attaching a fresh pendant
-    vertex at u (the identification still introduces its one new vertex and
-    the edge to u), which keeps the vertex accounting of spur partitions
-    uniform and does not change the homotopy type.
+    The identified vertex keeps the smallest id in the set and ids are
+    compacted afterwards; the empty set attaches a fresh pendant vertex.
     """
-    members = sorted(set(members))
-    report = is_spur(complex_, u, members)
-    if not report:
-        raise SpurError(report)
-    if not members:
-        w = complex_.vertex_count
-        faces = set(complex_.faces)
-        faces.add((w,))
-        faces.add(tuple(sorted((u, w))))
-        out = SimplicialComplex(frozenset(faces), complex_.vertex_count + 1)
-        return out, {v: v for v in range(complex_.vertex_count)}
-    target = members[0]
-    fold = {v: target for v in members}
-    survivors = sorted(set(range(complex_.vertex_count)) - set(members[1:]))
-    compact = {v: i for i, v in enumerate(survivors)}
-    mapping = {v: compact[fold.get(v, v)] for v in range(complex_.vertex_count)}
-    faces = frozenset(tuple(sorted({mapping[v] for v in f}))
-                      for f in complex_.faces)
-    return SimplicialComplex(faces, len(survivors)), mapping
+    return collapse_spurs(complex_, u, [members])
 
 
 SCX_HEADER = "scx 1"

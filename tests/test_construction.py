@@ -15,12 +15,14 @@ from zncomplex.construction import (
     dumps_labeling,
     torus_block,
 )
-from zncomplex.errors import UnsupportedSizeError
+from zncomplex.errors import SpurError, UnsupportedSizeError
 from zncomplex.factorization import orthogonal_pair
 from zncomplex.simplicial import (
     Homology,
+    SimplicialComplex,
     are_compatible,
     collapse_spur,
+    collapse_spurs,
     euler_characteristic,
     from_maximal_faces,
     homology_through,
@@ -241,3 +243,71 @@ def test_x_large_sizes(m, expected):
     complex_ = build_x(m)
     assert complex_.vertex_count == expected
     assert validate(complex_)
+
+
+def collapse_spur_oracle(complex_, u, members):
+    """One spur collapse by a whole face rebuild and compaction."""
+    members = sorted(set(members))
+    report = is_spur(complex_, u, members)
+    if not report:
+        raise SpurError(report)
+    if not members:
+        w = complex_.vertex_count
+        faces = set(complex_.faces)
+        faces.add((w,))
+        faces.add(tuple(sorted((u, w))))
+        out = SimplicialComplex(frozenset(faces), complex_.vertex_count + 1)
+        return out, {v: v for v in range(complex_.vertex_count)}
+    target = members[0]
+    fold = {v: target for v in members}
+    survivors = sorted(set(range(complex_.vertex_count)) - set(members[1:]))
+    compact = {v: i for i, v in enumerate(survivors)}
+    mapping = {v: compact[fold.get(v, v)] for v in range(complex_.vertex_count)}
+    faces = frozenset(tuple(sorted({mapping[v] for v in f}))
+                      for f in complex_.faces)
+    return SimplicialComplex(faces, len(survivors)), mapping
+
+
+def collapse_one_at_a_time(complex_, u, spurs):
+    """Chain the oracle over the spurs, relabeling the pending ones."""
+    current = complex_
+    total = {v: v for v in range(complex_.vertex_count)}
+    pending = [set(s) for s in spurs]
+    base = u
+    for idx, members in enumerate(pending):
+        current, step = collapse_spur_oracle(current, base, members)
+        base = step[base]
+        for later in pending[idx + 1:]:
+            remapped = {step[v] for v in later}
+            later.clear()
+            later.update(remapped)
+        total = {v: step[img] for v, img in total.items()}
+    return current, total
+
+
+@pytest.mark.parametrize("m", [m for m in range(1, 29) if m not in (3, 4, 5, 6)])
+def test_one_pass_collapse_matches_one_at_a_time(m):
+    trace = build_x_trace(m)
+    expected, expected_map = collapse_one_at_a_time(
+        trace.start, trace.labeling.u, [s.members for s in trace.spurs])
+    assert trace.result.faces == expected.faces
+    assert trace.result.vertex_count == expected.vertex_count
+    assert trace.vertex_map == expected_map
+
+
+def test_one_pass_collapse_in_shuffled_order_matches_one_at_a_time():
+    trace = build_x_trace(9)
+    rng = random.Random(5)
+    for _ in range(3):
+        spurs = [s.members for s in trace.spurs]
+        rng.shuffle(spurs)
+        assert (collapse_spurs(trace.start, trace.labeling.u, spurs)
+                == collapse_one_at_a_time(trace.start, trace.labeling.u, spurs))
+
+
+def test_build_x48_within_budget():
+    start = time.perf_counter()
+    complex_ = build_x(48)
+    elapsed = time.perf_counter() - start
+    assert complex_.vertex_count == 8 * 24 - 1
+    assert elapsed < 3.0, f"build_x(48) took {elapsed:.2f} s"

@@ -14,6 +14,7 @@ from zncomplex.simplicial import (
     are_compatible,
     boundary_matrix,
     collapse_spur,
+    collapse_spurs,
     dumps_scx,
     euler_characteristic,
     from_maximal_faces,
@@ -169,6 +170,38 @@ def test_maximal_faces():
     assert maximal_faces(complex_) == [(0, 1, 2), (2, 3)]
 
 
+def maximal_faces_oracle(complex_):
+    """Each face tested against every maximal face kept so far."""
+    by_size = sorted(complex_.faces, key=len, reverse=True)
+    maximal = []
+    seen = set()
+    for f in by_size:
+        fs = set(f)
+        if any(fs < set(g) for g in maximal if len(g) > len(f)):
+            continue
+        if f not in seen:
+            maximal.append(f)
+            seen.add(f)
+    return sorted(maximal)
+
+
+def test_maximal_faces_matches_oracle_on_random_face_sets():
+    rng = random.Random(90909)
+    closed = 0
+    for _ in range(300):
+        vertex_count = rng.randint(1, 8)
+        faces = {tuple(sorted(rng.sample(range(vertex_count),
+                                         rng.randint(1, min(4, vertex_count)))))
+                 for _ in range(rng.randint(0, 12))}
+        if rng.random() < 0.5:
+            complex_ = from_maximal_faces(faces, vertex_count)
+            closed += 1
+        else:  # not downward-closed: only the drawn faces are stored
+            complex_ = SimplicialComplex(frozenset(faces), vertex_count)
+        assert maximal_faces(complex_) == maximal_faces_oracle(complex_)
+    assert 0 < closed < 300
+
+
 def test_is_spur_singleton():
     complex_ = from_maximal_faces([(0, 1), (0, 2), (1, 2)])
     assert is_spur(complex_, 0, {1})
@@ -233,6 +266,34 @@ def test_collapse_requires_spur():
     complex_ = from_maximal_faces([(0, 1), (1, 2), (0, 2)])
     with pytest.raises(SpurError):
         collapse_spur(complex_, 0, {1, 2})
+
+
+def test_collapse_spurs_checks_each_spur_in_its_quotient():
+    # {1, 2} and {3, 4} are both spurs at 0 in the start complex, joined by
+    # the two cross edges 1-3 and 2-4.  Once {1, 2} is identified, 3 and 4
+    # share that vertex as a neighbor besides the base.
+    complex_ = from_maximal_faces([(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 4)])
+    assert is_spur(complex_, 0, {1, 2})
+    assert is_spur(complex_, 0, {3, 4})
+    with pytest.raises(SpurError) as excinfo:
+        collapse_spurs(complex_, 0, [{1, 2}, {3, 4}])
+    assert excinfo.value.report.violations == (
+        "members 3, 4 share neighbor 1 besides 0",)
+    with pytest.raises(SpurError):
+        collapse_spurs(complex_, 0, [{3, 4}, {1, 2}])
+
+
+def test_collapse_spurs_sequence():
+    # Each class keeps its smallest original id; the fresh pendant of the
+    # empty spur comes after every survivor, though it is collapsed second.
+    complex_ = from_maximal_faces([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
+    out, mapping = collapse_spurs(complex_, 0, [{2, 4}, set(), {1, 3}])
+    assert mapping == {0: 0, 1: 1, 2: 2, 3: 1, 4: 2, 5: 3}
+    assert out.vertex_count == 5
+    assert out.faces == frozenset({(0,), (1,), (2,), (3,), (4,), (0, 1),
+                                   (0, 2), (1, 3), (0, 4)})
+    with pytest.raises(ValueError):
+        collapse_spurs(complex_, 0, [{1}, {9}])
 
 
 def test_neighbors_do_not_keep_the_complex_alive():
