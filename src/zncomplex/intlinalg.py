@@ -2,15 +2,19 @@
 
 Everything here works with arbitrary-precision Python integers; there is no
 floating point.  Matrices are plain lists of lists (rows), except for
-sparse_snf, which takes sparse columns.
+sparse_snf, which takes sparse columns.  Which routine serves which caller:
 
-One elimination core, _eliminate_units, takes out the unit pivots of a
-sparse matrix in Markowitz order.  Homology (simplicial.homology and
-homology_through) reaches it through sparse_snf, and the abelianization
-(presentation.abelian_images) calls it directly to log each eliminated
-generator's substitution; both hand only what is left to smith_normal_form.
-smith_normal_form, with its optional transforms, serves every caller that
-needs the left or right matrix.
+- _eliminate_units takes out the unit pivots of a sparse matrix in
+  Markowitz order.  sparse_snf runs it for homology (simplicial) and the
+  pipeline's rank checks, presentation.abelian_images to log each
+  eliminated generator; both hand what is left to smith_normal_form.
+- smith_normal_form gives the Smith diagonal and, for abelian_images only,
+  the left transform.
+- echelon and coordinates do every lattice step of presentation's
+  replace_sparse (a basis and each member's coordinates) and
+  replace_subspace (the projection, the saturated basis and its words).
+- rank_of_rows, primitive_direction and plane_key give ranks over Q and
+  keys of lines and planes to presentation and sg.
 """
 
 from __future__ import annotations
@@ -23,31 +27,6 @@ from math import gcd
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(matrix) -> list[list[int]]:
-    if not matrix:
-        return []
-    return [list(col) for col in zip(*matrix)]
-
-
-def mat_mul(a, b) -> list[list[int]]:
-    if a and b:
-        assert len(a[0]) == len(b), "inner dimensions must agree"
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a, v) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def is_parallel(u, v) -> bool:
-    """Nonzero vectors on one line through the origin (all 2x2 minors vanish)."""
-    if not any(u) or not any(v):
-        return False
-    n = len(u)
-    return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
 
 
 def primitive_direction(vector) -> tuple[int, ...]:
@@ -67,26 +46,23 @@ def primitive_direction(vector) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Diagonalization left * input * right = diag(diagonal).
+    """Diagonalization left * input * V = diag(diagonal) for some unimodular V.
 
     diagonal has length min(m, n), entries are non-negative, each divides the
     next, and zeros sit at the tail.  rank is the number of nonzero entries.
-    left (m x m) and right (n x n) are unimodular; they are None unless
-    requested.
+    left (m x m) is unimodular; it is None unless requested.
     """
 
     diagonal: tuple[int, ...]
     rank: int
     left: tuple[tuple[int, ...], ...] | None = None
-    right: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def smith_normal_form(matrix, want_left: bool = False,
-                      want_right: bool = False) -> SnfResult:
+def smith_normal_form(matrix, want_left: bool = False) -> SnfResult:
     """Smith normal form over Z.
 
     Pivots are chosen with minimal absolute value (ties broken by least
@@ -109,8 +85,6 @@ def smith_normal_form(matrix, want_left: bool = False,
             cols[j].add(i)
 
     left = identity(m) if want_left else None
-    # right_t holds V transposed: row j of right_t is column j of V.
-    right_t = identity(n) if want_right else None
 
     def set_entry(i, j, v):
         row = rows[i]
@@ -135,10 +109,6 @@ def smith_normal_form(matrix, want_left: bool = False,
         # col dst += q * col src
         for i in list(cols[src]):
             set_entry(i, dst, rows[i].get(dst, 0) + q * rows[i][src])
-        if right_t is not None:
-            rsrc, rdst = right_t[src], right_t[dst]
-            for t in range(n):
-                rdst[t] += q * rsrc[t]
 
     def swap_rows(i, j):
         if i == j:
@@ -165,8 +135,6 @@ def smith_normal_form(matrix, want_left: bool = False,
             vj = rows[r].get(j, 0)
             set_entry(r, i, vj)
             set_entry(r, j, vi)
-        if right_t is not None:
-            right_t[i], right_t[j] = right_t[j], right_t[i]
 
     def negate_row(i):
         for j in list(rows[i]):
@@ -255,8 +223,6 @@ def smith_normal_form(matrix, want_left: bool = False,
         diagonal=diagonal,
         rank=k,
         left=tuple(tuple(r) for r in left) if left is not None else None,
-        right=tuple(tuple(r) for r in transpose(right_t))
-        if right_t is not None else None,
     )
 
 
@@ -402,61 +368,76 @@ def rank_of_rows(rows) -> int:
     return rank
 
 
-def solve_integer(matrix, target) -> list[int] | None:
-    """Solve matrix * x = target over the integers; None if unsolvable.
+def echelon(rows):
+    """Integer row echelon form by Euclid down each column, with its transform.
 
-    matrix is m x n, target has length m.  Uses the Smith form: with
-    U A V = D the system becomes D y = U t, x = V y.
+    In each column the rows that are not pivot rows yet and are nonzero
+    there are reduced by the one of least absolute value until one is left:
+    the pivot row, its pivot made positive.  Each row carries its
+    combination of the input rows as a sparse dict {input index: coefficient}.
+
+    Returns (basis, combos, kernel).  basis holds the nonzero echelon rows as
+    tuples, each pivot in a column past the previous one and above zeros; it
+    is a basis of the lattice the rows span.  combos[k] gives basis[k] as a
+    combination of the rows.  kernel holds the combinations of the rows that
+    reduced to zero, in input order.  The steps are unimodular, so all the
+    combinations form a unimodular matrix, and kernel is a saturated basis of
+    the integer left kernel (its rational span meets Z^m in its integer span).
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if len(target) != m:
-        raise ValueError("dimension mismatch")
-    if n == 0:
-        return [] if all(v == 0 for v in target) else None
-    snf = smith_normal_form(matrix, want_left=True, want_right=True)
-    ut = mat_vec(snf.left, list(target))
-    y = [0] * n
-    for i in range(m):
-        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
-        if d:
-            if ut[i] % d:
-                return None
-            y[i] = ut[i] // d
-        elif ut[i]:
+    work = [list(row) for row in rows]
+    width = len(work[0]) if work else 0
+    if any(len(row) != width for row in work):
+        raise ValueError("ragged matrix")
+    combos = [{i: 1} for i in range(len(work))]
+    free = list(range(len(work)))  # the rows that are not pivot rows yet
+    basis, basis_combos = [], []
+    for c in range(width):
+        live = [i for i in free if work[i][c]]
+        while len(live) > 1:
+            p = min(live, key=lambda i: abs(work[i][c]))
+            pivot = [(j, work[p][j]) for j in range(c, width) if work[p][j]]
+            for i in live:
+                if i == p:
+                    continue
+                # row i -= q * row p leaves a remainder smaller than the pivot.
+                q = work[i][c] // work[p][c]
+                for j, v in pivot:
+                    work[i][j] -= q * v
+                for k, v in combos[p].items():
+                    w = combos[i].get(k, 0) - q * v
+                    if w:
+                        combos[i][k] = w
+                    else:
+                        del combos[i][k]
+            live = [i for i in live if work[i][c]]
+        if live:
+            p = live[0]
+            sign = 1 if work[p][c] > 0 else -1
+            basis.append(tuple(sign * v for v in work[p]))
+            basis_combos.append({k: sign * v for k, v in combos[p].items()})
+            free.remove(p)
+    return basis, basis_combos, [combos[i] for i in free]
+
+
+def coordinates(vector, basis) -> list[int] | None:
+    """The integer coefficients of vector in an echelon basis, or None.
+
+    basis is echelon's first result.  Back-substitution takes the pivots in
+    order and divides exactly; a remainder, or an entry left over at the
+    end, means the vector is not in the lattice the basis spans.
+    """
+    rest = list(vector)
+    coeffs = []
+    for row in basis:
+        c = next(j for j, v in enumerate(row) if v)
+        q, r = divmod(rest[c], row[c])
+        if r:
             return None
-    return mat_vec(snf.right, y)
-
-
-def invert_unimodular(matrix) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix (via U B V = I => B^-1 = V U)."""
-    size = len(matrix)
-    if size == 0:
-        return []
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix must be square")
-    snf = smith_normal_form(matrix, want_left=True, want_right=True)
-    if any(d != 1 for d in snf.diagonal):
-        raise ValueError("matrix is not unimodular")
-    return mat_mul([list(r) for r in snf.right], [list(r) for r in snf.left])
-
-
-def saturation_completion(matrix) -> tuple[int, list[list[int]]]:
-    """Basis of Z^n adapted to the rational row span of matrix.
-
-    Returns (d, basis) where basis is a unimodular n x n matrix whose first
-    d rows span span_Q(rows) intersected with Z^n and whose remaining rows
-    complete them to a basis of Z^n.
-    """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if n == 0:
-        raise ValueError("ambient dimension must be positive")
-    if m == 0:
-        return 0, identity(n)
-    snf = smith_normal_form(matrix, want_right=True)
-    vinv = invert_unimodular([list(r) for r in snf.right])
-    return snf.rank, vinv
+        if q:
+            for j in range(c, len(rest)):
+                rest[j] -= q * row[j]
+        coeffs.append(q)
+    return None if any(rest) else coeffs
 
 
 def plane_key(rows) -> tuple[int, ...]:

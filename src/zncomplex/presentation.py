@@ -14,6 +14,7 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import count, islice
 from math import comb, gcd
 
 from .errors import (
@@ -25,14 +26,12 @@ from .errors import (
 from .hyperforest import PebbleGame, hyperforest_report
 from .intlinalg import (
     _eliminate_units,
-    invert_unimodular,
+    coordinates,
+    echelon,
     plane_key,
     primitive_direction,
     rank_of_rows,
-    saturation_completion,
     smith_normal_form,
-    solve_integer,
-    transpose,
 )
 from .report import Report
 from .simplicial import SimplicialComplex, require_valid
@@ -255,21 +254,15 @@ def relations_on(pres: Presentation, rel_indices, generators) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 # Generator-eliminating rewrites
 
-def _fresh_names(generators, count: int) -> list[str]:
-    taken = set(generators)
-    next_k = 0
-    for name in generators:
-        m = re.fullmatch(r"t(\d+)", name)
-        if m:
-            next_k = max(next_k, int(m.group(1)) + 1)
-    names = []
-    while len(names) < count:
-        candidate = f"t{next_k}"
-        next_k += 1
-        if candidate not in taken:
-            names.append(candidate)
-            taken.add(candidate)
-    return names
+def _fresh_names(generators):
+    """The names t<k>, t<k+1>, ... for k one past every t<j> among generators.
+
+    One scan of the names sets k.  No generator can take a name that
+    follows, since every generator t<j> has j < k.
+    """
+    numbers = (re.fullmatch(r"t(\d+)", name) for name in generators)
+    start = max((int(m.group(1)) + 1 for m in numbers if m), default=0)
+    return (f"t{k}" for k in count(start))
 
 
 def replace1(pres: Presentation, phi: AbelianMap,
@@ -315,7 +308,7 @@ def replace2(pres: Presentation, phi: AbelianMap, g: str, h: str,
     vg, vh = phi.vector(g), phi.vector(h)
     if any(a * x + b * y for x, y in zip(vg, vh)):
         raise ValueError(f"{a}*phi({g}) + {b}*phi({h}) != 0")
-    fresh = _fresh_names(pres.generators, 1)[0]
+    fresh = next(_fresh_names(pres.generators))
     generators = tuple(x for x in pres.generators if x not in (g, h)) + (fresh,)
     relations = []
     for rel in pres.relations:
@@ -384,7 +377,7 @@ def minimize(pres: Presentation, phi: AbelianMap) -> tuple[Presentation, Abelian
     classes: dict[tuple, deque] = {}
     for g in order:
         classes.setdefault(line[g], deque()).append(g)
-    fresh = iter(_fresh_names(order, len(order) - len(classes)))
+    fresh = _fresh_names(order)
     fused: dict[str, tuple[str, int]] = {}  # g -> (i, e): g becomes i^e
     for g in order:  # runs over the fresh generators appended below, too
         members = classes[line[g]]
@@ -552,12 +545,16 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
     """Rebase every critical set of the sparse class on a lattice basis.
 
     For each merged critical set S'' the integer span of its images is a
-    rank-two lattice with basis {x1, x2}; three generators h1, h2, h* enter
-    with the relations g^-1 h1^b1 h2^b2 (one per g in S''), h*^-1 h1 h2 and
-    h*^-1 h2 h1, and every relation supported inside S'' leaves.  The
-    bookkeeping identity |R_new| - |S_new| = |R_sparse| + |R_other| - |S|
-    holds exactly; extra-class relations must sit inside some critical set
-    and other-class relations must sit inside none.
+    rank-two lattice.  One intlinalg.echelon of the member images gives its
+    basis, the images of two new generators h1 and h2, and
+    intlinalg.coordinates gives each member g its (b1, b2) with phi(g) =
+    b1 phi(h1) + b2 phi(h2).  A third generator h* enters too, with the
+    relations g^-1 h1^b1 h2^b2 (one per g in S''), h*^-1 h1 h2 and
+    h*^-1 h2 h1, and every relation supported inside S'' leaves.  The new
+    names t<k> come from one counter.  The bookkeeping identity |R_new| -
+    |S_new| = |R_sparse| + |R_other| - |S| holds exactly; extra-class
+    relations must sit inside some critical set and other-class relations
+    must sit inside none.
     """
     partition.check_covers(len(pres.relations))
     supports = relation_supports(pres)
@@ -578,21 +575,17 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
     images = dict(phi.images)
     removed: set[int] = set()
     added_relations: list[Word] = []
+    fresh = _fresh_names(pres.generators)
     for member in collection:
         member_gens = [g for g in pres.generators if g in member]
-        rows = [list(images[g]) for g in member_gens]
-        snf = smith_normal_form(rows, want_left=True, want_right=True)
-        assert snf.rank == 2, "critical set must span a rank-two lattice"
-        vinv = invert_unimodular([list(r) for r in snf.right])
-        basis = [[snf.diagonal[j] * x for x in vinv[j]] for j in range(2)]
-        h1, h2, hstar = _fresh_names(generators, 3)
+        basis, _, _ = echelon([images[g] for g in member_gens])
+        assert len(basis) == 2, "critical set must span a rank-two lattice"
+        h1, h2, hstar = islice(fresh, 3)
         generators.extend((h1, h2, hstar))
-        images[h1] = tuple(basis[0])
-        images[h2] = tuple(basis[1])
-        images[hstar] = tuple(x + y for x, y in zip(basis[0], basis[1]))
-        columns = transpose(basis)
+        images[h1], images[h2] = basis
+        images[hstar] = tuple(x + y for x, y in zip(*basis))
         for g in member_gens:
-            coeffs = solve_integer(columns, list(images[g]))
+            coeffs = coordinates(images[g], basis)
             assert coeffs is not None, "member image must lie in the lattice"
             b1, b2 = coeffs
             added_relations.append(_clean_word(
@@ -629,46 +622,52 @@ def replace_subspace(pres: Presentation, phi: AbelianMap,
                      generators) -> ReplaceSubspaceResult:
     """Kill a generator subset, dropping the rank by the subset's dimension.
 
-    A basis x1..xd of span(images) intersected with Z^n is extended to a
-    basis of Z^n; words w_i with image x_i (solved over all generators)
-    enter as relations, the images are projected to the last n-d basis
-    coordinates, and the subset's generators are deleted from every
-    relation.  The result presents Z^(n-d).  When the images of phi do not
-    generate Z^n, some x_i is the image of no word, and PipelineStageError
-    carries that i as the witness.
+    Three intlinalg.echelon runs do the lattice work.  The left kernel of
+    the subset images' coordinate columns, a saturated basis of the vectors
+    orthogonal to them, is the projection P: Z^n -> Z^(n-d) as rows; P is
+    onto, and its kernel is span(subset images) intersected with Z^n.  The
+    left kernel of P's columns, one row per coordinate, is a saturated
+    basis x1..xd of that kernel.
+    One echelon of all the images, with intlinalg.coordinates, writes each
+    x_i as the image of a word w_i.  The words enter as relations, every
+    image is replaced by its projection, and the subset's generators are
+    deleted from every relation.  The result presents Z^(n-d).  When the
+    images of phi do not generate Z^n, some x_i is the image of no word,
+    and PipelineStageError carries the first such i as the witness.
     """
     subset = [g for g in pres.generators if g in set(generators)]
     for g in generators:
         if g not in pres.generators:
             raise ValueError(f"unknown generator {g!r}")
     n = phi.rank
-    if n == 0 or not subset:
-        dim = 0
-        basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    else:
-        rows = [list(phi.vector(g)) for g in subset]
-        dim, basis = saturation_completion(rows)
+    # The rows of P as sparse dicts {coordinate: entry}.
+    _, _, projection = echelon([[phi.vector(g)[t] for g in subset] for t in range(n)])
+    _, _, saturated = echelon([[y.get(t, 0) for y in projection] for t in range(n)])
+    dim = len(saturated)
     new_words: list[Word] = []
     if dim:
-        all_columns = transpose([list(phi.vector(g)) for g in pres.generators])
-        for i in range(dim):
-            coeffs = solve_integer(all_columns, basis[i])
+        basis, combos, _ = echelon([phi.vector(g) for g in pres.generators])
+        for i, x in enumerate(saturated):
+            coeffs = coordinates([x.get(t, 0) for t in range(n)], basis)
             if coeffs is None:
                 raise PipelineStageError(
                     "replace-subspace", f"basis vector {i} is not the image "
                     f"of a word: the images do not generate Z^{n}", witness=i)
+            exponents = [0] * len(pres.generators)
+            for c, combo in zip(coeffs, combos):
+                for idx, v in combo.items():
+                    exponents[idx] += c * v
             new_words.append(tuple(
-                (g, c) for g, c in zip(pres.generators, coeffs) if c))
-    binv = invert_unimodular(basis) if n else []
+                (g, e) for g, e in zip(pres.generators, exponents) if e))
     images = {}
     dropped = set(subset)
     for g in pres.generators:
         vec = phi.vector(g)
-        coords = [sum(vec[k] * binv[k][t] for k in range(n)) for t in range(n)]
+        coords = tuple(sum(vec[t] * v for t, v in y.items()) for y in projection)
         if g in dropped:
-            assert not any(coords[dim:]), "subset images must project to zero"
+            assert not any(coords), "subset images must project to zero"
         else:
-            images[g] = tuple(coords[dim:])
+            images[g] = coords
     added = tuple(range(len(pres.relations), len(pres.relations) + dim))
     relations = tuple(
         _clean_word((g, e) for g, e in rel if g not in dropped)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 from .errors import SgHypothesisError
 from .hyperforest import hyperforest_report
-from .intlinalg import is_parallel, plane_key, primitive_direction, rank_of_rows
+from .intlinalg import plane_key, primitive_direction, rank_of_rows
 from .report import Report
 
 
@@ -43,19 +43,26 @@ def config(points, dimension: int | None = None) -> PointConfig:
 
 
 def linear_mode_report(cfg: PointConfig) -> Report:
-    """Nonzero integer points, pairwise distinct lines through the origin."""
+    """Nonzero integer points, pairwise distinct lines through the origin.
+
+    Points are bucketed by primitive_direction (rational ones scaled to
+    integers first); each pair in a bucket is reported, in index order.
+    """
     violations = []
+    lines: dict[tuple[int, ...], list[int]] = {}
     for i, p in enumerate(cfg.points):
         if any(isinstance(x, Fraction) and x.denominator != 1 for x in p):
             violations.append(f"point {i} is not integral")
         if not any(p):
             violations.append(f"point {i} is zero")
-    for i in range(len(cfg.points)):
-        for j in range(i + 1, len(cfg.points)):
-            u, v = cfg.points[i], cfg.points[j]
-            if is_parallel(u, v):
-                violations.append(
-                    f"points {i} and {j} share a 1-dimensional subspace")
+            continue
+        scale = lcm(*(x.denominator for x in p))
+        lines.setdefault(primitive_direction([int(x * scale) for x in p]),
+                         []).append(i)
+    pairs = sorted(pair for members in lines.values()
+                   for pair in combinations(members, 2))
+    violations.extend(f"points {i} and {j} share a 1-dimensional subspace"
+                      for i, j in pairs)
     return Report.of(violations)
 
 

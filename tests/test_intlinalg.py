@@ -8,21 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_oracle import is_parallel, mat_mul
 from zncomplex import intlinalg
 from zncomplex.intlinalg import (
     SnfResult,
+    coordinates,
+    echelon,
     identity,
-    invert_unimodular,
-    is_parallel,
-    mat_mul,
     plane_key,
     primitive_direction,
     rank_of_rows,
-    saturation_completion,
     smith_normal_form,
-    solve_integer,
     sparse_snf,
-    transpose,
 )
 
 
@@ -59,17 +56,28 @@ def diagonal_by_minor_gcds(matrix):
 
 
 def assert_certificate(matrix):
-    result = smith_normal_form(matrix, want_left=True, want_right=True)
-    m, n = len(matrix), len(matrix[0]) if matrix else 0
-    product = mat_mul(mat_mul([list(r) for r in result.left],
-                              [list(r) for r in matrix]),
-                      [list(r) for r in result.right])
-    for i in range(m):
-        for j in range(n):
-            expected = result.diagonal[i] if i == j and i < len(result.diagonal) else 0
-            assert product[i][j] == expected
-    assert abs(det([list(r) for r in result.left])) == 1
-    assert abs(det([list(r) for r in result.right])) == 1
+    """Check U A = D W for the left transform U and some unimodular W.
+
+    |det U| = 1; the rows of U A at and past the rank are zero; each row i
+    before it is d_i times a row w_i; and the w_i have an all-ones minor-gcd
+    diagonal, so they extend to a unimodular W.  That holds exactly when
+    U A V = D for some unimodular V (V is W inverted).
+    """
+    result = smith_normal_form(matrix, want_left=True)
+    m = len(matrix)
+    product = mat_mul([list(r) for r in result.left], [list(r) for r in matrix])
+    if m:
+        assert abs(det([list(r) for r in result.left])) == 1
+    w = []
+    for i, row in enumerate(product):
+        if i >= result.rank:
+            assert not any(row)
+        else:
+            d = result.diagonal[i]
+            assert d > 0 and all(x % d == 0 for x in row)
+            w.append([x // d for x in row])
+    if w:
+        assert diagonal_by_minor_gcds(w) == (1,) * len(w)
     for i in range(len(result.diagonal) - 1):
         if result.diagonal[i + 1]:
             assert result.diagonal[i] != 0
@@ -115,7 +123,7 @@ def test_snf_certificate_property(rows):
 def test_snf_rectangular_shapes():
     assert smith_normal_form([[1, 2, 3]]).diagonal == (1,)
     assert smith_normal_form([[2], [4], [6]]).diagonal == (2,)
-    result = smith_normal_form([], want_left=True, want_right=True)
+    result = smith_normal_form([], want_left=True)
     assert result.diagonal == () and result.rank == 0
 
 
@@ -171,44 +179,128 @@ def test_rank_matches_snf_rank():
         assert rank_of_rows(matrix) == smith_normal_form(matrix).rank
 
 
-def test_solve_integer():
-    matrix = transpose([[2, 0, 0], [0, 3, 0]])
-    assert solve_integer(matrix, [4, 9, 0]) == [2, 3]
-    assert solve_integer(matrix, [1, 0, 0]) is None
-    assert solve_integer(matrix, [0, 0, 1]) is None
-    assert solve_integer([[0], [0]], [0, 0]) == [0]
+def combination(coeffs, vectors, n):
+    return [sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(n)]
 
 
-def test_solve_random_consistency():
+def assert_echelon(rows):
+    """echelon(rows) against the Smith form and minor-gcd oracles."""
+    basis, combos, kernel = echelon(rows)
+    m, n = len(rows), len(rows[0]) if rows else 0
+    last = -1
+    for row in basis:
+        pivot = next(j for j, x in enumerate(row) if x)
+        assert pivot > last and row[pivot] > 0
+        last = pivot
+    for k, combo in enumerate(combos):
+        assert basis[k] == tuple(sum(c * rows[i][j] for i, c in combo.items())
+                                 for j in range(n))
+    dense = [[y.get(i, 0) for i in range(m)] for y in combos + kernel]
+    for y in dense[len(combos):]:
+        assert not any(sum(y[i] * rows[i][j] for i in range(m)) for j in range(n))
+    if kernel:
+        assert diagonal_by_minor_gcds(dense[len(combos):]) == (1,) * len(kernel)
+    if m:
+        assert abs(det(dense)) == 1
+    snf = smith_normal_form(rows)
+    assert len(basis) == snf.rank and len(kernel) == m - snf.rank
+    # The basis spans the row lattice: every row has coordinates in it.
+    for row in rows:
+        coeffs = coordinates(row, basis)
+        assert coeffs is not None
+        assert combination(coeffs, basis, n) == row
+    return basis
+
+
+def in_lattice(vector, rows):
+    """Oracle: same rank and same product of Smith diagonal with vector added."""
+    def invariants(matrix):
+        snf = smith_normal_form(matrix)
+        product = 1
+        for d in snf.diagonal[:snf.rank]:
+            product *= d
+        return snf.rank, product
+    return invariants(rows) == invariants(rows + [list(vector)])
+
+
+def test_echelon_random_against_oracles():
+    rng = random.Random(31)
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)]
+        basis = assert_echelon(rows)
+        vector = [rng.randint(-9, 9) for _ in range(n)]
+        coeffs = coordinates(vector, basis)
+        assert (coeffs is not None) == in_lattice(vector, rows), (rows, vector)
+        if coeffs is not None:
+            assert combination(coeffs, basis, n) == vector
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+                min_size=1, max_size=5).filter(
+                    lambda rows: len({len(r) for r in rows}) == 1))
+def test_echelon_property(rows):
+    assert_echelon(rows)
+
+
+def test_echelon_shapes():
+    assert echelon([]) == ([], [], [])
+    # Rows of width zero all reduce to zero: the kernel is the identity.
+    assert echelon([[], []]) == ([], [], [{0: 1}, {1: 1}])
+    basis, combos, kernel = echelon([[0, -2], [0, 3]])
+    assert basis == [(0, 1)] and len(kernel) == 1
+    with pytest.raises(ValueError):
+        echelon([[1, 2], [3]])
+
+
+def test_coordinates():
+    basis = [(2, 0, 0), (0, 3, 0)]
+    assert echelon(basis)[0] == basis
+    assert coordinates((4, 9, 0), basis) == [2, 3]
+    assert coordinates((1, 0, 0), basis) is None
+    assert coordinates((0, 0, 1), basis) is None
+    zero_basis, _, _ = echelon([[0], [0]])
+    assert coordinates((0,), zero_basis) == []
+    assert coordinates((1,), zero_basis) is None
+
+
+def test_coordinates_random_consistency():
     rng = random.Random(99)
     for _ in range(80):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
-        matrix = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        x = [rng.randint(-3, 3) for _ in range(n)]
-        target = [sum(matrix[i][j] * x[j] for j in range(n)) for i in range(m)]
-        found = solve_integer(matrix, target)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        x = [rng.randint(-3, 3) for _ in range(m)]
+        target = [sum(x[i] * rows[i][j] for i in range(m)) for j in range(n)]
+        basis, _, _ = echelon(rows)
+        found = coordinates(target, basis)
         assert found is not None
-        recomputed = [sum(matrix[i][j] * found[j] for j in range(n))
-                      for i in range(m)]
-        assert recomputed == target
+        assert combination(found, basis, n) == target
 
 
-def test_invert_unimodular():
-    b = [[1, 2], [1, 3]]
-    binv = invert_unimodular(b)
-    assert mat_mul(b, binv) == identity(2)
-    with pytest.raises(ValueError):
-        invert_unimodular([[2, 0], [0, 1]])
-
-
-def test_saturation_completion():
-    rank, basis = saturation_completion([[2, 4]])
-    assert rank == 1
-    assert basis[0] in ([1, 2], [-1, -2])
-    assert abs(det(basis)) == 1
-    rank0, basis0 = saturation_completion([[0, 0]])
-    assert rank0 == 0 and abs(det(basis0)) == 1
+def test_saturated_span_by_two_kernels():
+    # replace_subspace's construction: the kernel of the coordinate columns
+    # projects away the span, and the kernel of that projection's transpose
+    # is a basis of the span intersected with Z^n.
+    def saturated_span(rows, n):
+        _, _, kernel = echelon([[row[t] for row in rows] for t in range(n)])
+        projection = [[y.get(t, 0) for t in range(n)] for y in kernel]
+        _, _, span = echelon([[row[t] for row in projection] for t in range(n)])
+        return [[x.get(t, 0) for t in range(n)] for x in span]
+    assert saturated_span([[2, 4]], 2) in ([[1, 2]], [[-1, -2]])
+    assert saturated_span([[0, 0]], 2) == []
+    assert saturated_span([], 2) == []
+    rng = random.Random(4)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = [[rng.choice((-4, -2, 0, 2, 6)) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        span = saturated_span(rows, n)
+        assert len(span) == rank_of_rows(rows)
+        if span:
+            assert smith_normal_form(span).diagonal == (1,) * len(span)
+            assert rank_of_rows(rows + span) == len(span)
 
 
 def test_plane_key_depends_only_on_span():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import zncomplex
 from abelian_oracle import dense_abelian_images, exponent_matrix
+from lattice_oracle import is_parallel
 from zncomplex.construction import build_x, torus_block
 from zncomplex.errors import NotFreeAbelianError, PipelineStageError, TooLongError
 from zncomplex.presentation import (
@@ -37,7 +38,6 @@ from zncomplex.presentation import (
 )
 from zncomplex.intlinalg import (
     _eliminate_units,
-    is_parallel,
     rank_of_rows,
     smith_normal_form,
 )

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lattice_oracle import is_parallel
 from zncomplex.errors import SgHypothesisError
 from zncomplex.sg import (
     affine_dimension,
@@ -64,6 +65,43 @@ def random_distinct_points(rng, count, dim, spread=4):
     while len(points) < count:
         points.add(tuple(rng.randint(-spread, spread) for _ in range(dim)))
     return sorted(points)
+
+
+def pairwise_linear_mode_violations(points):
+    """The former all-pairs check, with is_parallel as the oracle."""
+    violations = []
+    for i, p in enumerate(points):
+        if any(isinstance(x, Fraction) and x.denominator != 1 for x in p):
+            violations.append(f"point {i} is not integral")
+        if not any(p):
+            violations.append(f"point {i} is zero")
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if is_parallel(points[i], points[j]):
+                violations.append(
+                    f"points {i} and {j} share a 1-dimensional subspace")
+    return violations
+
+
+def test_linear_mode_report_matches_all_pairs_oracle():
+    rng = random.Random(4142)
+    values = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+    failing = 0
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        points = [[rng.choice(values) for _ in range(dim)]
+                  for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.randint(0, 3)):  # scaled copies share a line
+            if points:
+                scale = rng.choice((-2, -1, Fraction(1, 3), 3))
+                points.insert(rng.randint(0, len(points)),
+                              [scale * x for x in rng.choice(points)])
+        cfg = config(points, dimension=dim)
+        report = linear_mode_report(cfg)
+        expected = pairwise_linear_mode_violations(cfg.points)
+        assert list(report.violations) == expected, points
+        failing += not report
+    assert failing > 100
 
 
 def test_projectivize_basis_example():

@@ -442,3 +442,61 @@ def test_replace_subspace_rank_drop_random():
         snf = smith_normal_form(exponent_matrix(out.presentation))
         assert snf.torsion == ()
         assert len(out.presentation.generators) - snf.rank == n - d
+
+
+def nonzero_diagonal(rows):
+    return tuple(d for d in smith_normal_form(rows).diagonal if d)
+
+
+def test_replace_sparse_rebases_each_critical_set_on_its_lattice():
+    rebased = 0
+    for phi, pres in oracle_plane_cases(2718, 60):
+        sparse_idx = maximal_sparse_subset(pres, phi)
+        rest = tuple(i for i in range(len(pres.relations)) if i not in sparse_idx)
+        result = replace_sparse(pres, phi, SparsityPartition(sparse_idx, rest, ()))
+        out, images = result.presentation, result.phi.images
+        new = out.generators[len(pres.generators):]
+        added = out.relations[len(out.relations)
+                              - sum(len(s) + 2 for s in result.collection):]
+        position = 0
+        for c, member in enumerate(result.collection):
+            h1, h2, hstar = new[3 * c:3 * c + 3]
+            rows = [list(phi.vector(g)) for g in pres.generators if g in member]
+            assert nonzero_diagonal(rows) == \
+                nonzero_diagonal(rows + [list(images[h1]), list(images[h2])])
+            for g in pres.generators:
+                if g not in member:
+                    continue
+                rel = added[position]
+                position += 1
+                assert rel[0] == (g, -1) and {h for h, _ in rel[1:]} <= {h1, h2}
+                b = dict(rel[1:])
+                assert phi.vector(g) == tuple(
+                    b.get(h1, 0) * x + b.get(h2, 0) * y
+                    for x, y in zip(images[h1], images[h2]))
+            assert added[position:position + 2] == (
+                ((hstar, -1), (h1, 1), (h2, 1)), ((hstar, -1), (h2, 1), (h1, 1)))
+            position += 2
+            rebased += 1
+        assert position == len(added)
+    assert rebased >= 20
+
+
+def test_replace_subspace_kills_the_saturated_span():
+    # The words enter with the subset's syllables deleted, which changes
+    # their images by vectors of the subset lattice L.  So the words' images
+    # together with L span what the words did with L: the span of L
+    # intersected with Z^n, a lattice of rank d with all-ones Smith diagonal.
+    rng = random.Random(1729)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        pres = standard_zn(n, "intro3")
+        phi = abelian_images(pres)
+        subset = rng.sample(pres.generators, rng.randint(1, len(pres.generators)))
+        d = subset_dimension(phi, subset)
+        out = replace_subspace(pres, phi, subset)
+        assert len(out.added_relations) == d
+        words = [[sum(e * phi.vector(g)[t] for g, e in out.presentation.relations[i])
+                  for t in range(n)] for i in out.added_relations]
+        lattice = words + [list(phi.vector(g)) for g in subset]
+        assert nonzero_diagonal(lattice) == (1,) * d
