@@ -13,8 +13,13 @@ sparse_snf, which takes sparse columns.  Which routine serves which caller:
 - echelon and coordinates do every lattice step of presentation's
   replace_sparse (a basis and each member's coordinates) and
   replace_subspace (the projection, the saturated basis and its words).
-- rank_of_rows, primitive_direction and plane_key give ranks over Q and
-  keys of lines and planes to presentation and sg.
+- plane_key is the one rank-two test and plane key: presentation's
+  AbelianMap.plane (for minimize and relation_planes) and sg.sg_reduce
+  call it alone.
+- rank_of_rows gives ranks over Q: presentation.subset_dimension (which
+  also names the dimension in minimize's and relation_planes' errors) and
+  sg's span dimensions.
+- primitive_direction keys lines for presentation.minimize and sg.
 """
 
 from __future__ import annotations
@@ -332,18 +337,20 @@ def sparse_snf(columns, row_count: int) -> SnfResult:
 def rank_of_rows(rows) -> int:
     """Rank over Q of a matrix given by rows of ints or Fractions.
 
-    Rows are scaled to integers (scaling does not change rank) and reduced by
-    fraction-free Bareiss elimination.
+    Rows are copied, a row holding a Fraction is scaled to integers (scaling
+    does not change rank), and the copy is reduced by fraction-free Bareiss
+    elimination.
     """
-    cleaned = []
+    a = []
     for row in rows:
         row = list(row)
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-        cleaned.append([int(x * denom) for x in row])
-    a = cleaned
+        if not all(type(x) is int for x in row):
+            denom = 1
+            for x in row:
+                if isinstance(x, Fraction):
+                    denom = denom * x.denominator // gcd(denom, x.denominator)
+            row = [int(x * denom) for x in row]
+        a.append(row)
     m = len(a)
     n = len(a[0]) if m else 0
     rank = 0
@@ -441,21 +448,45 @@ def coordinates(vector, basis) -> list[int] | None:
 
 
 def plane_key(rows) -> tuple[int, ...]:
-    """Canonical key of the plane that integer vectors span.
+    """Canonical key of the plane that integer vectors span, and the rank test.
 
-    Precondition: the rows span exactly a plane, that is rank two over Q.
-    The key is the Pluecker vector u ^ v = (u_i v_j - u_j v_i for i < j) of
-    the first two independent rows, scaled by primitive_direction.  Another
-    spanning pair of the same plane has a Pluecker vector that is a nonzero
-    multiple of it, and a different plane has one that is not, so equal
-    planes give equal keys and different planes different ones.  Raises
-    ValueError when no two rows are independent.
+    The key is the Pluecker vector p = u ^ v = (u_i v_j - u_j v_i for i < j)
+    of the first nonzero row u and the first row v not parallel to it,
+    scaled by primitive_direction.  Another spanning pair of the same plane
+    has a Pluecker vector that is a nonzero multiple of p, and a different
+    plane has one that is not, so equal planes give equal keys and different
+    planes different ones.  Every other row w lies in the plane exactly when
+    u ^ w is zero or a multiple of p, which cross-multiplication against one
+    nonzero entry of p decides without a gcd.  Raises ValueError unless the
+    rows span exactly a plane, that is rank two over Q.
+
+    Only the coordinates where some row is nonzero enter the products; the
+    other entries of p are zero and are filled in at the end.
     """
     rows = [tuple(r) for r in rows]
-    for a, u in enumerate(rows):
-        for v in rows[a + 1:]:
-            wedge = [u[i] * v[j] - u[j] * v[i]
-                     for i in range(len(u)) for j in range(i + 1, len(u))]
-            if any(wedge):
-                return primitive_direction(wedge)
+    n = len(rows[0]) if rows else 0
+    used = [i for i, column in enumerate(zip(*rows)) if any(column)]
+    rows = [[r[i] for i in used] for r in rows if any(r)]
+    if rows:
+        u = rows[0]
+        s = len(used)
+        p = None
+        for w in rows[1:]:
+            q = [u[i] * w[j] - u[j] * w[i] for i in range(s) for j in range(i + 1, s)]
+            if p is None:
+                if any(q):
+                    p = q
+                    k = next(i for i, x in enumerate(p) if x)
+                    pk = p[k]
+            elif any(x * pk != y * q[k] for x, y in zip(q, p)):
+                raise ValueError("the rows span more than a plane")
+        if p is not None:
+            p = primitive_direction(p)
+            if s == n:
+                return p
+            key = [0] * (n * (n - 1) // 2)
+            pairs = ((i, j) for a, i in enumerate(used) for j in used[a + 1:])
+            for (i, j), x in zip(pairs, p):
+                key[i * (2 * n - i - 1) // 2 + j - i - 1] = x
+            return tuple(key)
     raise ValueError("no two of the rows are linearly independent")

@@ -30,7 +30,6 @@ from .presentation import (
     exponent_columns,
     maximal_sparse_subset,
     minimize,
-    normalize,
     relations_on,
     replace_sparse,
     replace_subspace,
@@ -196,8 +195,7 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
     points = [phi1.vector(g) for g in p1.generators]
     gen_index = {g: i for i, g in enumerate(p1.generators)}
     edges = tuple(
-        frozenset(gen_index[g] for g in normalize(p1.relations[i]).support)
-        for i in sparse_idx)
+        frozenset(gen_index[g] for g in p1.support(i)) for i in sparse_idx)
     graph = Hypergraph3(tuple(range(k)), edges)
     try:
         reduction = sg_reduce(config(points, dimension=n), graph, threshold)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count, islice
 from math import comb, gcd
 
@@ -43,6 +43,10 @@ Word = tuple[tuple[str, int], ...]
 class Presentation:
     generators: tuple[str, ...]
     relations: tuple[Word, ...]
+    # relation index -> normal-form support, filled by support(); derived,
+    # so it stays out of ==, hash and repr.
+    _supports: dict[int, frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         declared = set(self.generators)
@@ -54,6 +58,17 @@ class Presentation:
                     raise ValueError(f"relation uses undeclared generator {g!r}")
                 if type(e) is not int or e == 0:
                     raise ValueError(f"exponent must be a nonzero integer, got {e!r}")
+
+    def support(self, idx: int) -> frozenset[str]:
+        """Generators of relation idx's normal form, normalized once per index.
+
+        Raises TooLongError, and memoizes nothing, when that normal form
+        keeps more than three syllables.
+        """
+        supports = self._supports
+        if idx not in supports:
+            supports[idx] = normalize(self.relations[idx]).support
+        return supports[idx]
 
 
 def word(*syllables) -> Word:
@@ -114,15 +129,14 @@ def normalize(syllables) -> NormalForm:
 
 def is_3_presentation(pres: Presentation) -> bool:
     try:
-        for rel in pres.relations:
-            normalize(rel)
+        relation_supports(pres)
     except TooLongError:
         return False
     return True
 
 
 def relation_supports(pres: Presentation) -> list[frozenset[str]]:
-    return [normalize(rel).support for rel in pres.relations]
+    return [pres.support(i) for i in range(len(pres.relations))]
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +195,26 @@ class AbelianMap:
 
     rank: int
     images: dict[str, tuple[int, ...]]
+    # generator set -> plane_key of its images, filled by plane(); derived,
+    # so it stays out of ==, hash and repr.
+    _planes: dict[frozenset[str], tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def vector(self, g: str) -> tuple[int, ...]:
         if g not in self.images:
             raise ValueError(f"unknown generator {g!r}")
         return self.images[g]
+
+    def plane(self, support: frozenset[str]) -> tuple[int, ...]:
+        """plane_key of the images of support, computed once per support.
+
+        Raises ValueError, and memoizes nothing, when a generator is unknown
+        or the images do not span exactly a plane.
+        """
+        planes = self._planes
+        if support not in planes:
+            planes[support] = plane_key([self.vector(g) for g in support])
+        return planes[support]
 
 
 def exponent_columns(pres: Presentation) -> list[dict[int, int]]:
@@ -247,8 +276,7 @@ def subset_dimension(phi: AbelianMap, generators) -> int:
 def relations_on(pres: Presentation, rel_indices, generators) -> tuple[int, ...]:
     """Indices of the relations whose normal form uses only these generators."""
     allowed = set(generators)
-    return tuple(i for i in rel_indices
-                 if normalize(pres.relations[i]).support <= allowed)
+    return tuple(i for i in rel_indices if pres.support(i) <= allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +390,9 @@ def minimize(pres: Presentation, phi: AbelianMap) -> tuple[Presentation, Abelian
     that of replace1 and replace2 applied one generator at a time.
 
     At the end every relation has a three-syllable normal form whose images
-    span a plane.  A relation that does not raises PipelineStageError with
-    its index as witness; that happens only when phi is not the
-    abelianization of pres.
+    span a plane, and the returned map holds each of those planes.  A
+    relation that does not raises PipelineStageError with its index as
+    witness; that happens only when phi is not the abelianization of pres.
     """
     if set(phi.images) != set(pres.generators):
         raise ValueError("phi must give an image for exactly the generators")
@@ -415,11 +443,13 @@ def minimize(pres: Presentation, phi: AbelianMap) -> tuple[Presentation, Abelian
             raise PipelineStageError(
                 "minimize", f"relation {idx} has {len(nf.word)} syllables, "
                 f"not three", witness=idx)
-        dim = subset_dimension(out_phi, nf.support)
-        if dim != 2:
+        try:
+            out_phi.plane(nf.support)
+        except ValueError:
+            dim = subset_dimension(out_phi, nf.support)
             raise PipelineStageError(
                 "minimize", f"relation {idx} spans dimension {dim}, not two",
-                witness=idx)
+                witness=idx) from None
         kept.append(syllables)
     return Presentation(generators, tuple(kept)), out_phi
 
@@ -430,20 +460,23 @@ def minimize(pres: Presentation, phi: AbelianMap) -> tuple[Presentation, Abelian
 def relation_planes(pres: Presentation, phi: AbelianMap, rel_indices):
     """Group relation indices by the plane their images span.
 
-    Every relation must have a three-syllable normal form of dimension
-    exactly two; anything else is a precondition violation.  Planes are
-    keyed by intlinalg.plane_key.
+    Every relation must have a normal form whose images span exactly a
+    plane; anything else raises SparsityError with the relation's index.
+    Supports come from pres.support and planes from phi.plane
+    (intlinalg.plane_key), so each is computed once per presentation and
+    map; subset_dimension runs only to name the dimension of a failure.
     """
     planes: dict[tuple, list[int]] = {}
     for idx in rel_indices:
-        support = sorted(normalize(pres.relations[idx]).support)
-        rows = [phi.vector(g) for g in support]
-        dim = rank_of_rows(rows) if rows else 0
-        if dim != 2:
+        support = pres.support(idx)
+        try:
+            key = phi.plane(support)
+        except ValueError:
+            dim = subset_dimension(phi, support)
             raise SparsityError(
                 f"relation {idx} has dimension {dim}; the plane analysis "
-                f"needs dimension exactly 2", witness=idx)
-        planes.setdefault(plane_key(rows), []).append(idx)
+                f"needs dimension exactly 2", witness=idx) from None
+        planes.setdefault(key, []).append(idx)
     return planes
 
 
@@ -460,8 +493,7 @@ def is_sparse(pres: Presentation, phi: AbelianMap, rel_indices) -> Report:
     planes = relation_planes(pres, phi, rel_indices)
     for key in sorted(planes):
         idxs = planes[key]
-        supports = [normalize(pres.relations[i]).support for i in idxs]
-        forest = hyperforest_report(supports)
+        forest = hyperforest_report([pres.support(i) for i in idxs])
         if not forest:
             closure, inside = forest.witness
             relations = tuple(idxs[i] for i in inside)
@@ -482,8 +514,7 @@ def maximal_sparse_subset(pres: Presentation, phi: AbelianMap) -> tuple[int, ...
     chosen = []
     for idxs in planes.values():
         game = PebbleGame()
-        chosen.extend(i for i in idxs
-                      if game.add(normalize(pres.relations[i]).support))
+        chosen.extend(i for i in idxs if game.add(pres.support(i)))
     return tuple(sorted(chosen))
 
 

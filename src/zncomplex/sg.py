@@ -252,11 +252,12 @@ def sg_reduce(cfg: PointConfig, graph: Hypergraph3, threshold) -> SgReduction:
         raise ValueError("hypergraph vertices must index the points")
     by_plane: dict[tuple, list[frozenset[int]]] = {}
     for e in graph.edges:
-        rows = [[int(x) for x in cfg.points[v]] for v in sorted(e)]
-        if rank_of_rows(rows) != 2:
+        try:
+            key = plane_key([[int(x) for x in cfg.points[v]] for v in sorted(e)])
+        except ValueError:
             raise ValueError(
-                f"edge {sorted(e)} does not span a 2-dimensional subspace")
-        by_plane.setdefault(plane_key(rows), []).append(e)
+                f"edge {sorted(e)} does not span a 2-dimensional subspace") from None
+        by_plane.setdefault(key, []).append(e)
     for key in sorted(by_plane):
         forest = hyperforest_report(by_plane[key])
         if not forest:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lattice_oracle
 from lattice_oracle import is_parallel, mat_mul
 from zncomplex import intlinalg
 from zncomplex.intlinalg import (
@@ -327,6 +328,53 @@ def test_plane_key_depends_only_on_span():
         assert plane_key([[-x for x in v], [3 * x for x in u]]) == key
         if rank_of_rows([u, w]) == 2:
             assert (plane_key([u, w]) == key) == (rank_of_rows([u, v, w]) == 2)
+
+
+@st.composite
+def rows_near_a_plane(draw):
+    """2-4 rows in Z^2..Z^6: zero rows, rows on a line, in a plane or off it."""
+    n = draw(st.integers(2, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))  # zero columns often
+    base = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(3)]
+    rows = []
+    for _ in range(draw(st.integers(2, 4))):
+        # 0 base vectors: a zero row; 1: parallel; 2: in the plane; 3: off it
+        coeffs = draw(st.lists(st.integers(-2, 2), max_size=3))
+        rows.append([sum(c * b[i] for c, b in zip(coeffs, base))
+                     for i in range(n)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_near_a_plane())
+def test_plane_key_equals_two_step_oracle(rows):
+    if lattice_oracle.brute_rank(rows) == 2:
+        assert plane_key(rows) == lattice_oracle.plane_key(rows)
+    else:
+        with pytest.raises(ValueError):
+            plane_key(rows)
+
+
+def test_plane_key_rejects_rank_three():
+    with pytest.raises(ValueError):
+        plane_key([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError):
+        plane_key([[1, 0, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
+                   [0, 0, 0, 0], [0, 1, 0, 1]])
+
+
+def test_rank_of_rows_int_and_fraction_rows_agree():
+    rng = random.Random(33)
+    for _ in range(100):
+        rows = [[rng.randint(-2, 2) for _ in range(4)]
+                for _ in range(rng.randint(1, 4))]
+        halves = [[Fraction(x, 2) for x in row] for row in rows]
+        mixed = [halves[0]] + rows[1:]
+        assert rank_of_rows(rows) == rank_of_rows(halves) == \
+            rank_of_rows(mixed) == lattice_oracle.brute_rank(rows)
+    rows = [[1, 2], [3, 4]]
+    rank_of_rows(rows)
+    assert rows == [[1, 2], [3, 4]]  # the input is not reduced in place
 
 
 def test_primitive_direction():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import zncomplex
 from abelian_oracle import dense_abelian_images, exponent_matrix
 from lattice_oracle import is_parallel
+from zncomplex import presentation
 from zncomplex.construction import build_x, torus_block
 from zncomplex.errors import NotFreeAbelianError, PipelineStageError, TooLongError
 from zncomplex.presentation import (
@@ -27,6 +28,7 @@ from zncomplex.presentation import (
     extract_presentation,
     is_3_presentation,
     loads_presentation,
+    maximal_sparse_subset,
     minimize,
     normalize,
     relations_on,
@@ -340,6 +342,22 @@ def test_minimize_of_extracted_complex():
         assert subset_dimension(phi, nf.support) == 2
 
 
+def test_minimize_hands_its_planes_to_the_sparsity_stage(monkeypatch):
+    keys = []
+
+    def counted(rows):
+        keys.append(rows)
+        return original(rows)
+
+    original = presentation.plane_key
+    monkeypatch.setattr(presentation, "plane_key", counted)
+    pres = extract_presentation(build_x(8), 0)
+    out, phi = minimize(pres, abelian_images(pres))
+    assert len(keys) == len({normalize(rel).support for rel in out.relations})
+    maximal_sparse_subset(out, phi)
+    assert len(keys) == len({normalize(rel).support for rel in out.relations})
+
+
 def test_rewrites_preserve_group_signature():
     rng = random.Random(424242)
     for _ in range(60):
@@ -491,11 +509,13 @@ def test_minimize_checks_its_result_explicitly():
     line = Presentation(("a", "b"), ((("a", 1), ("b", 1)),))
     three = Presentation(("a", "b", "c"), ((("a", 1), ("b", 1), ("c", 1)),))
     space = AbelianMap(3, {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)})
-    for pres in (line, three):
+    for pres, problem in ((line, "has 2 syllables, not three"),
+                          (three, "spans dimension 3, not two")):
         phi = AbelianMap(3, {g: space.images[g] for g in pres.generators})
         with pytest.raises(PipelineStageError) as info:
             minimize(pres, phi)
         assert info.value.stage == "minimize" and info.value.witness == 0
+        assert str(info.value) == f"stage minimize: relation 0 {problem}"
     with pytest.raises(ValueError):
         minimize(line, space)
     # The check is not an assert, so it also runs under python -O.
@@ -535,7 +555,10 @@ def test_standard_zn_shapes():
     intro = standard_zn(2, "intro3")
     assert len(intro.generators) == 3 and len(intro.relations) == 2
     assert not is_3_presentation(standard_zn(3, "commutator"))
-    assert is_3_presentation(standard_zn(3, "intro3"))
+    intro3 = standard_zn(3, "intro3")
+    assert is_3_presentation(intro3)
+    assert intro3._supports == {i: normalize(rel).support
+                                for i, rel in enumerate(intro3.relations)}
     with pytest.raises(ValueError):
         standard_zn(2, "weird")
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lattice_oracle import is_parallel
+from lattice_oracle import brute_rank, is_parallel
+from zncomplex import sg
 from zncomplex.errors import SgHypothesisError
 from zncomplex.sg import (
     affine_dimension,
@@ -20,23 +21,6 @@ from zncomplex.sg import (
     sg_reduce,
     special_lines,
 )
-
-
-def brute_rank(rows):
-    grid = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(grid[0]) if grid else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(grid)) if grid[i][col]), None)
-        if pivot is None:
-            continue
-        grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        for i in range(len(grid)):
-            if i != rank and grid[i][col]:
-                factor = grid[i][col] / grid[rank][col]
-                grid[i] = [a - factor * b for a, b in zip(grid[i], grid[rank])]
-        rank += 1
-    return rank
 
 
 def collinear(p, q, r):
@@ -271,6 +255,28 @@ def test_sg_reduce_rejects_rank_three_edge():
     cfg = config([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError):
         sg_reduce(cfg, hypergraph([(0, 1, 2)], 3), 1)
+
+
+def test_sg_reduce_names_an_edge_off_a_plane():
+    # linear mode leaves no two points parallel, so only rank three is left
+    cfg = config([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    with pytest.raises(ValueError) as info:
+        sg_reduce(cfg, hypergraph([(0, 1, 2), (1, 2, 3)], 4), 1)
+    assert str(info.value) == "edge [1, 2, 3] does not span a 2-dimensional subspace"
+
+
+def test_sg_reduce_ranks_only_the_survivors(monkeypatch):
+    ranks = []
+
+    def counted(rows):
+        ranks.append(rows)
+        return original(rows)
+
+    original = sg.rank_of_rows
+    monkeypatch.setattr(sg, "rank_of_rows", counted)
+    cfg = config([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (0, 0, 1)])
+    out = sg_reduce(cfg, hypergraph([(0, 1, 2), (0, 1, 3), (0, 2, 3)], 5), 1)
+    assert out.dim_span == 2 and len(ranks) == 1
 
 
 def test_points_json_round_trip():

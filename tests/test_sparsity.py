@@ -2,13 +2,14 @@
 
 import random
 import time
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from abelian_oracle import exponent_matrix
-from zncomplex.errors import SparsityError
+from lattice_oracle import brute_rank
+from zncomplex import presentation
+from zncomplex.errors import SparsityError, TooLongError
 from zncomplex.presentation import (
     AbelianMap,
     Presentation,
@@ -25,24 +26,6 @@ from zncomplex.presentation import (
     subset_dimension,
 )
 from zncomplex.intlinalg import primitive_direction, smith_normal_form
-
-
-def brute_rank(rows):
-    """Row rank over Q by plain fraction elimination (test-local oracle)."""
-    grid = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(grid[0]) if grid else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(grid)) if grid[i][col]), None)
-        if pivot is None:
-            continue
-        grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        for i in range(len(grid)):
-            if i != rank and grid[i][col]:
-                factor = grid[i][col] / grid[rank][col]
-                grid[i] = [a - factor * b for a, b in zip(grid[i], grid[rank])]
-        rank += 1
-    return rank
 
 
 def brute_sparse(phi, generators, supports):
@@ -354,6 +337,126 @@ def test_critical_collection_of_forty_generators():
     collection = critical_collection(pres, phi, range(len(supports)))
     assert time.perf_counter() - start < 1.0
     assert collection == [frozenset(names[:20])]
+
+
+def fresh_copies(pres, phi):
+    return (Presentation(pres.generators, pres.relations),
+            AbelianMap(phi.rank, dict(phi.images)))
+
+
+def sparsity_calls(pres, phi):
+    """The four memo readers, each returning its answer or its error."""
+    everything = range(len(pres.relations))
+    chosen = greedy_sparse_subset(pres, phi)
+    rest = tuple(i for i in everything if i not in chosen)
+
+    def outcome(call):
+        def run(p, f):
+            try:
+                return call(p, f)
+            except SparsityError as exc:
+                return ("raised", str(exc), exc.witness)
+        return run
+
+    return {
+        "is_sparse": outcome(lambda p, f: is_sparse(p, f, everything)),
+        "maximal": outcome(maximal_sparse_subset),
+        "critical": outcome(lambda p, f: critical_collection(p, f, everything)),
+        "replace": outcome(lambda p, f: replace_sparse(
+            p, f, SparsityPartition(chosen, rest, ()))),
+    }
+
+
+def test_memoized_calls_agree_in_every_order():
+    cases = [(abelian_images(standard_zn(3, "intro3")), standard_zn(3, "intro3"))]
+    cases += list(oracle_plane_cases(57721, 12))
+    for phi, pres in cases:
+        calls = sparsity_calls(pres, phi)
+        expected = {name: call(*fresh_copies(pres, phi))
+                    for name, call in calls.items()}
+        for order in permutations(calls):
+            shared = fresh_copies(pres, phi)
+            for name in order:
+                assert calls[name](*shared) == expected[name], (order, name)
+
+
+def test_each_support_gets_one_plane_key(monkeypatch):
+    keys = []
+
+    def counted(rows):
+        keys.append(rows)
+        return original(rows)
+
+    original = presentation.plane_key
+    monkeypatch.setattr(presentation, "plane_key", counted)
+    for phi, pres in oracle_plane_cases(16180, 20):
+        keys.clear()
+        everything = range(len(pres.relations))
+        is_sparse(pres, phi, everything)
+        chosen = maximal_sparse_subset(pres, phi)
+        rest = tuple(i for i in everything if i not in chosen)
+        replace_sparse(pres, phi, SparsityPartition(chosen, rest, ()))
+        distinct = {normalize(rel).support for rel in pres.relations}
+        assert len(keys) == len(distinct)
+
+
+def test_planes_make_no_rank_call_on_success(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("rank_of_rows called")
+
+    monkeypatch.setattr(presentation, "rank_of_rows", refuse)
+    for phi, pres in oracle_plane_cases(2024, 10):
+        relation_planes(pres, phi, range(len(pres.relations)))
+
+
+def test_is_sparse_ignores_a_long_relation_outside_its_indices():
+    phi = AbelianMap(2, {"a": (1, 0), "b": (0, 1), "c": (1, 1), "d": (2, 1)})
+    pres = Presentation(("a", "b", "c", "d"), (
+        (("a", 1), ("b", 1), ("c", -1)),
+        (("a", 1), ("b", 1), ("c", 1), ("d", 1))))
+    assert is_sparse(pres, phi, [0])
+    assert 1 not in pres._supports
+    with pytest.raises(TooLongError):
+        is_sparse(pres, phi, [0, 1])
+
+
+def test_relation_planes_names_the_wrong_dimension():
+    phi = AbelianMap(3, {"a": (1, 0, 0), "b": (2, 0, 0), "c": (0, 1, 0),
+                         "d": (0, 0, 1)})
+    cases = {
+        1: (("a", 1), ("b", 1)),
+        3: (("a", 1), ("c", 1), ("d", 1)),
+        0: (),
+    }
+    for dim, rel in cases.items():
+        pres = Presentation(("a", "b", "c", "d"),
+                            ((("a", 1), ("c", 1), ("b", -1)), rel))
+        for call in (lambda: relation_planes(pres, phi, [0, 1]),
+                     lambda: is_sparse(pres, phi, [0, 1]),
+                     lambda: maximal_sparse_subset(pres, phi)):
+            with pytest.raises(SparsityError) as info:
+                call()
+            assert str(info.value) == (
+                f"relation 1 has dimension {dim}; the plane analysis needs "
+                f"dimension exactly 2")
+            assert info.value.witness == 1
+    with pytest.raises(ValueError, match="unknown generator"):
+        relation_planes(Presentation(("a", "e"), ((("a", 1), ("e", 1)),)), phi, [0])
+
+
+def test_memo_leaves_equality_hash_and_repr_alone():
+    pres = standard_zn(3, "intro3")
+    phi = abelian_images(pres)
+    before = (repr(pres), hash(pres), repr(phi))
+    critical_collection(pres, phi, range(len(pres.relations)))
+    assert pres._supports and phi._planes
+    copy, phi_copy = fresh_copies(pres, phi)
+    assert (repr(pres), hash(pres), repr(phi)) == before
+    assert pres == copy and hash(pres) == hash(copy)
+    assert phi == phi_copy
+    for value in (phi, phi_copy):
+        with pytest.raises(TypeError):  # images is a dict, before and after
+            hash(value)
 
 
 def test_replace_sparse_intro_identity():
