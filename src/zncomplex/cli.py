@@ -90,8 +90,8 @@ def _cmd_reduce(args) -> int:
     print(f"minimize: |S| = {len(pres2.generators)}, |R| = {len(pres2.relations)}")
     if "sparse" in passes:
         sparse_idx = presentation.maximal_sparse_subset(pres2, phi)
-        rest = tuple(i for i in range(len(pres2.relations))
-                     if i not in set(sparse_idx))
+        sparse = set(sparse_idx)
+        rest = tuple(i for i in range(len(pres2.relations)) if i not in sparse)
         partition = presentation.SparsityPartition(sparse_idx, rest, ())
         result = presentation.replace_sparse(pres2, phi, partition)
         pres2 = result.presentation

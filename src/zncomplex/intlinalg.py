@@ -8,11 +8,12 @@ sparse_snf, which takes sparse columns.  Which routine serves which caller:
   Markowitz order.  sparse_snf runs it for homology (simplicial) and the
   pipeline's rank checks, presentation.abelian_images to log each
   eliminated generator; both hand what is left to smith_normal_form.
-- smith_normal_form gives the Smith diagonal and, for abelian_images only,
-  the left transform.
-- echelon and coordinates do every lattice step of presentation's
-  replace_sparse (a basis and each member's coordinates) and
-  replace_subspace (the projection, the saturated basis and its words).
+- smith_normal_form gives the Smith diagonal only; it keeps no transform.
+- echelon's kernel is the one saturated integer left kernel: it gives
+  presentation.abelian_images the images of the generators that
+  elimination leaves, and replace_subspace its projection and saturated
+  basis.  echelon and coordinates also give replace_sparse a basis and
+  each member's coordinates, and replace_subspace the basis's words.
 - plane_key is the one rank-two test and plane key: presentation's
   AbelianMap.plane (for minimize and relation_planes) and sg.sg_reduce
   call it alone.
@@ -28,10 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def primitive_direction(vector) -> tuple[int, ...]:
@@ -51,24 +48,22 @@ def primitive_direction(vector) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Diagonalization left * input * V = diag(diagonal) for some unimodular V.
+    """The Smith diagonal: U * input * V = diag(diagonal) for unimodular U, V.
 
     diagonal has length min(m, n), entries are non-negative, each divides the
     next, and zeros sit at the tail.  rank is the number of nonzero entries.
-    left (m x m) is unimodular; it is None unless requested.
     """
 
     diagonal: tuple[int, ...]
     rank: int
-    left: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def smith_normal_form(matrix, want_left: bool = False) -> SnfResult:
-    """Smith normal form over Z.
+def smith_normal_form(matrix) -> SnfResult:
+    """Smith normal form over Z, without transforms.
 
     Pivots are chosen with minimal absolute value (ties broken by least
     expected fill-in) to limit coefficient growth; the divisibility sweep
@@ -89,8 +84,6 @@ def smith_normal_form(matrix, want_left: bool = False) -> SnfResult:
         for j in entries:
             cols[j].add(i)
 
-    left = identity(m) if want_left else None
-
     def set_entry(i, j, v):
         row = rows[i]
         if v:
@@ -105,10 +98,6 @@ def smith_normal_form(matrix, want_left: bool = False) -> SnfResult:
         # row dst += q * row src
         for j, v in list(rows[src].items()):
             set_entry(dst, j, rows[dst].get(j, 0) + q * v)
-        if left is not None:
-            lsrc, ldst = left[src], left[dst]
-            for t in range(m):
-                ldst[t] += q * lsrc[t]
 
     def add_col(dst, src, q):
         # col dst += q * col src
@@ -129,8 +118,6 @@ def smith_normal_form(matrix, want_left: bool = False) -> SnfResult:
                 cols[c].add(j)
             else:
                 cols[c].discard(j)
-        if left is not None:
-            left[i], left[j] = left[j], left[i]
 
     def swap_cols(i, j):
         if i == j:
@@ -144,8 +131,6 @@ def smith_normal_form(matrix, want_left: bool = False) -> SnfResult:
     def negate_row(i):
         for j in list(rows[i]):
             rows[i][j] = -rows[i][j]
-        if left is not None:
-            left[i] = [-v for v in left[i]]
 
     def select_pivot(k):
         best_key = None
@@ -224,11 +209,7 @@ def smith_normal_form(matrix, want_left: bool = False) -> SnfResult:
 
     diagonal = tuple(rows[i].get(i, 0) for i in range(limit))
     assert all(d >= 0 for d in diagonal)
-    return SnfResult(
-        diagonal=diagonal,
-        rank=k,
-        left=tuple(tuple(r) for r in left) if left is not None else None,
-    )
+    return SnfResult(diagonal=diagonal, rank=k)
 
 
 def _eliminate_units(columns, row_count: int, record: bool = False):
@@ -317,10 +298,11 @@ def sparse_snf(columns, row_count: int) -> SnfResult:
     smith_normal_form(dense).diagonal and .rank, because the Smith diagonal
     is unique.
 
-    The unit pivots go first, through _eliminate_units (the core that
-    presentation.abelian_images shares); each leaves a 1 on the diagonal.
-    Once no unit is left, smith_normal_form diagonalizes the dense
-    remainder, if there is one.
+    The unit pivots go first, through _eliminate_units; each leaves a 1 on
+    the diagonal.  Once no unit is left, smith_normal_form diagonalizes the
+    dense remainder, if there is one.  presentation.abelian_images shares
+    both steps and also reads its images off echelon's kernel of the
+    remainder.
     """
     rows, cols, units, _ = _eliminate_units(columns, row_count)
     live_cols = [j for j, col in enumerate(cols) if col]

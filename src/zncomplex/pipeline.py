@@ -267,7 +267,8 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
         if p3.relations[j]:
             raise PipelineStageError(
                 stage, f"relation {j} should have trivialized", witness=j)
-    keep = [rel for j, rel in enumerate(p3.relations) if j not in set(other_new)]
+    stripped = set(other_new)
+    keep = [rel for j, rel in enumerate(p3.relations) if j not in stripped]
     p4 = Presentation(p3.generators, tuple(keep))
     _verified_rank(p4, stage, n - d)
     report.stages.append(StageRecord(

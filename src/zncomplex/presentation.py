@@ -239,30 +239,47 @@ def abelian_images(pres: Presentation) -> AbelianMap:
     intlinalg._eliminate_units, the core sparse_snf shares, takes out one
     generator per unit pivot and logs its substitution e_i = -p * sum(a_k
     e_k).  The generators left over are presented by the non-unit
-    remainder R: with U R V = D, the bottom rows of U give their images
-    (U is the identity, so the images are unit vectors, when nothing
-    remains).  Back-substituting the log in reverse order gives the image
-    of every eliminated generator.  Every relation maps to zero and the
-    images generate Z^n.  Raises NotFreeAbelianError when an invariant
-    factor exceeds one.
+    remainder R, which is reduced twice: smith_normal_form(R) gives the
+    torsion, and echelon(R)'s kernel, a saturated basis y_1..y_n of the
+    integer left kernel, gives survivor s the image (y_1[s], .., y_n[s]).
+    Two runs cost nothing where it matters: R has no columns on every
+    extracted X_m, so the kernel is the identity and the images are unit
+    vectors.  Back-substituting the log in reverse order, on images held
+    as sparse {coordinate: value} dicts, gives the image of every
+    eliminated generator; each image becomes a tuple once, at the end.
+    Every relation maps to zero and the images generate Z^n.  Raises NotFreeAbelianError when an invariant factor
+    exceeds one.
     """
     k = len(pres.generators)
     rows, cols, _, steps = _eliminate_units(exponent_columns(pres), k, record=True)
     eliminated = {i for i, _, _ in steps}
     survivors = [i for i in range(k) if i not in eliminated]
     live = [j for j, col in enumerate(cols) if col]
-    snf = smith_normal_form([[rows[i].get(j, 0) for j in live] for i in survivors],
-                            want_left=True)
-    if snf.torsion:
-        raise NotFreeAbelianError(snf.torsion)
-    basis = snf.left[snf.rank:]
-    rank = len(basis)
-    images = {i: tuple(u[t] for u in basis) for t, i in enumerate(survivors)}
+    rest = [[rows[i].get(j, 0) for j in live] for i in survivors]
+    torsion = smith_normal_form(rest).torsion
+    if torsion:
+        raise NotFreeAbelianError(torsion)
+    _, _, kernel = echelon(rest)
+    rank = len(kernel)
+    images: dict[int, dict[int, int]] = {i: {} for i in survivors}
+    for t, y in enumerate(kernel):
+        for s, v in y.items():
+            images[survivors[s]][t] = v
     for i, p, column in reversed(steps):
-        terms = [(p * a, images[r]) for r, a in column.items() if r != i]
-        images[i] = tuple(-sum(c * v[t] for c, v in terms) for t in range(rank))
-    return AbelianMap(rank=rank, images={g: images[idx]
-                                         for idx, g in enumerate(pres.generators)})
+        image: dict[int, int] = {}
+        for r, a in column.items():
+            if r != i:
+                q = p * a
+                for t, v in images[r].items():
+                    image[t] = image.get(t, 0) - q * v
+        images[i] = {t: v for t, v in image.items() if v}
+    vectors = {}
+    for idx, g in enumerate(pres.generators):
+        vector = [0] * rank
+        for t, v in images[idx].items():
+            vector[t] = v
+        vectors[g] = tuple(vector)
+    return AbelianMap(rank=rank, images=vectors)
 
 
 def subset_dimension(phi: AbelianMap, generators) -> int:
@@ -666,7 +683,8 @@ def replace_subspace(pres: Presentation, phi: AbelianMap,
     images of phi do not generate Z^n, some x_i is the image of no word,
     and PipelineStageError carries the first such i as the witness.
     """
-    subset = [g for g in pres.generators if g in set(generators)]
+    wanted = set(generators)
+    subset = [g for g in pres.generators if g in wanted]
     for g in generators:
         if g not in pres.generators:
             raise ValueError(f"unknown generator {g!r}")
@@ -792,7 +810,11 @@ def dumps_presentation(pres: Presentation) -> str:
 
 
 def loads_presentation(text: str) -> Presentation:
-    return from_json_dict(json.loads(text))
+    """Parse the JSON text; JSON nested too deeply raises ValueError too."""
+    try:
+        return from_json_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError("the JSON is nested too deeply") from None
 
 
 def write_presentation(pres: Presentation, path) -> None:

@@ -4,7 +4,8 @@ Points are exact integer or rational vectors; there is no floating point
 anywhere in this module.  Linear-mode configurations (nonzero points,
 pairwise spanning distinct lines through the origin) support the pruning
 reduction; projectivization turns coplanarity through the origin into
-collinearity on an affine hyperplane.
+collinearity on an affine hyperplane, whose normal is the moment-curve
+vector (1, t, t^2, ..) at the least integer t >= 0 orthogonal to no point.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count
 from math import lcm
 
 from .errors import SgHypothesisError
@@ -66,42 +67,28 @@ def linear_mode_report(cfg: PointConfig) -> Report:
     return Report.of(violations)
 
 
-def _normal_candidates(dimension: int, max_norm: int):
-    # Per coordinate the values run 0, 1, .., m, -1, .., -m so that small
-    # non-negative normals come first; only vectors of max-norm exactly m
-    # are yielded at level m.
-    for m in range(1, max_norm + 1):
-        order = list(range(m + 1)) + [-v for v in range(1, m + 1)]
-        for cand in product(order, repeat=dimension):
-            if max(abs(x) for x in cand) == m:
-                yield cand
-
-
 def projectivize(cfg: PointConfig) -> tuple[PointConfig, tuple[int, ...]]:
     """Scale each point onto the affine hyperplane {x : x . normal = 1}.
 
-    The normal is the first integer vector, in increasing max-norm and a
-    fixed coordinate order, orthogonal to none of the points; the search is
-    capped at max-norm 2|V| + 1.  Three points lie in a plane through the
-    origin exactly when their images are collinear, and distinct lines
-    through the origin give distinct images.
+    The normal is the moment-curve vector (1, t, t^2, ..) for the first
+    integer t >= 0 orthogonal to none of the points.  A nonzero point p
+    makes p . normal a nonzero polynomial in t of degree below the
+    dimension, so at most (dimension - 1) * |V| values of t fail and the
+    search ends.  Three points lie in a plane through the origin exactly
+    when their images are collinear, and distinct lines through the origin
+    give distinct images.
     """
     report = linear_mode_report(cfg)
     if not report:
         raise ValueError("; ".join(report.violations))
-    cap = 2 * len(cfg.points) + 1
-    normal = None
-    for cand in _normal_candidates(cfg.dimension, cap):
-        if all(sum(x * y for x, y in zip(cand, p)) != 0 for p in cfg.points):
-            normal = cand
+    for t in count():
+        normal = tuple(t ** i for i in range(cfg.dimension))
+        dots = [sum(x * y for x, y in zip(normal, p)) for p in cfg.points]
+        if all(dots):
             break
-    if normal is None:
-        raise ValueError(f"no valid normal vector with max-norm <= {cap}")
-    points = []
-    for p in cfg.points:
-        dot = sum(x * y for x, y in zip(normal, p))
-        points.append(tuple(Fraction(x, dot) for x in p))
-    return PointConfig(cfg.dimension, tuple(points)), normal
+    points = tuple(tuple(Fraction(x, dot) for x in p)
+                   for p, dot in zip(cfg.points, dots))
+    return PointConfig(cfg.dimension, points), normal
 
 
 def affine_dimension(cfg: PointConfig) -> int:
@@ -300,5 +287,9 @@ def points_from_json(data) -> PointConfig:
 
 
 def read_points(path) -> PointConfig:
+    """Read a points file; JSON nested too deeply raises ValueError too."""
     with open(path, "r", encoding="utf-8") as fh:
-        return points_from_json(json.load(fh))
+        try:
+            return points_from_json(json.load(fh))
+        except RecursionError:
+            raise ValueError("the JSON is nested too deeply") from None

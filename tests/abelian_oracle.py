@@ -1,14 +1,15 @@
-"""Dense abelianization, kept as an oracle for presentation.abelian_images.
+"""Dense abelianization verdict, kept as an oracle for presentation.abelian_images.
 
-This is the library's former abelianization: the dense |S| x |R| exponent
-matrix and one Smith form with the left transform.  It shares no code with
-the sparse unit elimination that presentation.abelian_images now uses,
-except smith_normal_form itself.
+The dense |S| x |R| exponent matrix and one Smith form of it give the rank
+of the free abelianization, or its torsion.  This shares no code with the
+sparse unit elimination and echelon kernel that presentation.abelian_images
+uses, except smith_normal_form itself.  It gives no images: the tests check
+those directly (every relation maps to zero and the images generate Z^n).
 """
 
 from zncomplex.errors import NotFreeAbelianError
 from zncomplex.intlinalg import smith_normal_form
-from zncomplex.presentation import AbelianMap, Presentation
+from zncomplex.presentation import Presentation
 
 
 def exponent_matrix(pres: Presentation) -> list[list[int]]:
@@ -21,23 +22,14 @@ def exponent_matrix(pres: Presentation) -> list[list[int]]:
     return matrix
 
 
-def dense_abelian_images(pres: Presentation) -> AbelianMap:
-    """The map onto the free abelianization, from the Smith form.
+def dense_abelian_rank(pres: Presentation) -> int:
+    """The rank n of the abelianization Z^n, from the dense Smith form.
 
-    With U A V = D for the exponent matrix A, the quotient of Z^{|S|} by the
-    relation lattice is read off the bottom rows of U; those rows give each
-    generator an image in Z^n, every relation maps to zero, and the images
-    generate Z^n.  Raises NotFreeAbelianError when an invariant factor
+    The quotient of Z^{|S|} by the relation lattice is Z^(|S| - rank) plus
+    the torsion.  Raises NotFreeAbelianError when an invariant factor
     exceeds one.
     """
-    matrix = exponent_matrix(pres)
-    k = len(pres.generators)
-    snf = smith_normal_form(matrix, want_left=True)
+    snf = smith_normal_form(exponent_matrix(pres))
     if snf.torsion:
         raise NotFreeAbelianError(snf.torsion)
-    rank = k - snf.rank
-    images = {
-        g: tuple(snf.left[i][idx] for i in range(snf.rank, k))
-        for idx, g in enumerate(pres.generators)
-    }
-    return AbelianMap(rank=rank, images=images)
+    return len(pres.generators) - snf.rank

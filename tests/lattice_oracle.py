@@ -1,5 +1,5 @@
-"""Dense matrix products, rank by Fraction elimination, the all-minors
-parallel test and a two-step plane key, as test oracles.
+"""Rank by Fraction elimination, the all-minors parallel test and a
+two-step plane key, as test oracles.
 
 They share no code with intlinalg.echelon, primitive_direction, rank_of_rows
 or plane_key, which the library uses for the same jobs.
@@ -7,19 +7,6 @@ or plane_key, which the library uses for the same jobs.
 
 from fractions import Fraction
 from math import gcd
-
-
-def transpose(matrix) -> list[list[int]]:
-    if not matrix:
-        return []
-    return [list(col) for col in zip(*matrix)]
-
-
-def mat_mul(a, b) -> list[list[int]]:
-    if a and b:
-        assert len(a[0]) == len(b), "inner dimensions must agree"
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def is_parallel(u, v) -> bool:

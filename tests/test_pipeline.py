@@ -143,12 +143,19 @@ def test_cli_pipeline_torsion_is_check_failure(tmp_path):
     assert main(["pipeline", str(bad)]) == 1
 
 
+NESTED = "[" * 200000 + "]" * 200000  # deeper than json can recurse
+
+
 @pytest.mark.parametrize("command, text", [
     ("reduce", '{"generators": ["a"]}'),
     ("reduce", "[]"),
     ("reduce", '{"generators": ["a"], "relations": [[["a", true]]]}'),
     ("sg-check", '{"points": [[1, 0], [0, 1]]}'),
-], ids=["missing-relations", "top-level-list", "bool-exponent", "missing-dimension"])
+    ("pipeline", NESTED),
+    ("reduce", NESTED),
+    ("sg-check", NESTED),
+], ids=["missing-relations", "top-level-list", "bool-exponent", "missing-dimension",
+        "nested-pipeline", "nested-reduce", "nested-sg-check"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -1,6 +1,7 @@
 """Exact incidence geometry against brute-force oracles."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,17 +103,33 @@ def test_projectivize_requires_linear_mode():
         projectivize(config([(0, 0)]))
 
 
+def roots_and_differences(dim):
+    """The points e_i and e_i - e_j (i < j) of Z^dim, in linear mode.
+
+    A normal orthogonal to none of them has dim distinct nonzero entries,
+    so its max-norm is at least dim / 2, and a search by increasing
+    max-norm tries exponentially many vectors in dim first.
+    """
+    unit = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    return unit + [tuple(a - b for a, b in zip(unit[i], unit[j]))
+                   for i in range(dim) for j in range(i + 1, dim)]
+
+
 def test_projectivize_images_distinct_and_incidence_preserved():
     rng = random.Random(31)
-    trials = 0
-    while trials < 40:
+    inputs = []
+    while len(inputs) < 40:
         dim = rng.randint(2, 4)
         pts = random_distinct_points(rng, rng.randint(2, 7), dim)
+        if linear_mode_report(config(pts)):
+            inputs.append((pts, None))
+    inputs.append((roots_and_differences(8), 1.0))
+    for pts, budget in inputs:
         cfg = config(pts)
-        if not linear_mode_report(cfg):
-            continue
-        trials += 1
+        start = time.perf_counter()
         out, normal = projectivize(cfg)
+        if budget is not None:
+            assert time.perf_counter() - start < budget
         assert len(set(out.points)) == len(out.points)
         for p in cfg.points:
             assert sum(a * b for a, b in zip(p, normal)) != 0
