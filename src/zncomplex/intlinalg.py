@@ -2,33 +2,37 @@
 
 Everything here works with arbitrary-precision Python integers; there is no
 floating point.  Matrices are plain lists of lists (rows), except for
-sparse_snf, which takes sparse columns.  Which routine serves which caller:
+sparse_snf, which takes sparse columns.  Two routines reduce matrices, and
+everything else calls one of them:
 
 - _eliminate_units takes out the unit pivots of a sparse matrix in
-  Markowitz order.  sparse_snf runs it for homology (simplicial) and the
-  pipeline's rank checks, presentation.abelian_images to log each
-  eliminated generator; both hand what is left to smith_normal_form.
-- smith_normal_form gives the Smith diagonal only; it keeps no transform.
-- echelon's kernel is the one saturated integer left kernel: it gives
-  presentation.abelian_images the images of the generators that
-  elimination leaves, and replace_subspace its projection and saturated
-  basis.  echelon and coordinates also give replace_sparse a basis and
-  each member's coordinates, and replace_subspace the basis's words.
+  Markowitz order.  sparse_snf runs it for homology (simplicial), the
+  pipeline's rank checks and smith_normal_form, which hands it the columns
+  of a dense matrix; presentation.abelian_images runs it to log each
+  eliminated generator.
+- echelon is integer row echelon form by Euclid, with its transform.  It
+  diagonalizes what unit elimination leaves: _smith_diagonal alternates it
+  on rows and columns, for sparse_snf and hence smith_normal_form, which
+  abelian_images calls for its torsion verdict.  Its kernel is the one
+  saturated integer left kernel: it gives abelian_images the images of
+  the generators that elimination leaves, and replace_subspace its
+  projection and saturated basis.  echelon and coordinates also give
+  replace_sparse a basis and each member's coordinates, and
+  replace_subspace the basis's words.  rank_of_rows counts its basis rows
+  for ranks over Q: presentation.subset_dimension (which also names the
+  dimension in minimize's and relation_planes' errors) and sg's span
+  dimensions.
 - plane_key is the one rank-two test and plane key: presentation's
   AbelianMap.plane (for minimize and relation_planes) and sg.sg_reduce
   call it alone.
-- rank_of_rows gives ranks over Q: presentation.subset_dimension (which
-  also names the dimension in minimize's and relation_planes' errors) and
-  sg's span dimensions.
 - primitive_direction keys lines for presentation.minimize and sg.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 def primitive_direction(vector) -> tuple[int, ...]:
@@ -52,6 +56,8 @@ class SnfResult:
 
     diagonal has length min(m, n), entries are non-negative, each divides the
     next, and zeros sit at the tail.  rank is the number of nonzero entries.
+    The diagonal is unique, so it does not depend on the route: the ones
+    from unit pivots come first, then the invariants of the remainder.
     """
 
     diagonal: tuple[int, ...]
@@ -63,153 +69,17 @@ class SnfResult:
 
 
 def smith_normal_form(matrix) -> SnfResult:
-    """Smith normal form over Z, without transforms.
+    """Smith normal form over Z of a dense matrix (a list of rows).
 
-    Pivots are chosen with minimal absolute value (ties broken by least
-    expected fill-in) to limit coefficient growth; the divisibility sweep
-    guarantees d_i | d_{i+1} directly.  The matrix is held sparsely, so
-    boundary matrices of desk-scale complexes diagonalize quickly.
+    The columns go to sparse_snf; a ragged matrix raises ValueError.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     for row in matrix:
         if len(row) != n:
             raise ValueError("ragged matrix")
-
-    rows: list[dict[int, int]] = []
-    cols: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(matrix):
-        entries = {j: int(v) for j, v in enumerate(row) if v}
-        rows.append(entries)
-        for j in entries:
-            cols[j].add(i)
-
-    def set_entry(i, j, v):
-        row = rows[i]
-        if v:
-            if j not in row:
-                cols[j].add(i)
-            row[j] = v
-        elif j in row:
-            del row[j]
-            cols[j].discard(i)
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        for j, v in list(rows[src].items()):
-            set_entry(dst, j, rows[dst].get(j, 0) + q * v)
-
-    def add_col(dst, src, q):
-        # col dst += q * col src
-        for i in list(cols[src]):
-            set_entry(i, dst, rows[i].get(dst, 0) + q * rows[i][src])
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        touched = set(rows[i]) | set(rows[j])
-        rows[i], rows[j] = rows[j], rows[i]
-        for c in touched:
-            if c in rows[i]:
-                cols[c].add(i)
-            else:
-                cols[c].discard(i)
-            if c in rows[j]:
-                cols[c].add(j)
-            else:
-                cols[c].discard(j)
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for r in list(cols[i] | cols[j]):
-            vi = rows[r].get(i, 0)
-            vj = rows[r].get(j, 0)
-            set_entry(r, i, vj)
-            set_entry(r, j, vi)
-
-    def negate_row(i):
-        for j in list(rows[i]):
-            rows[i][j] = -rows[i][j]
-
-    def select_pivot(k):
-        best_key = None
-        best = None
-        for i in range(k, m):
-            nr = len(rows[i])
-            for j, v in rows[i].items():
-                if j < k:
-                    continue
-                key = (abs(v), (nr - 1) * (len(cols[j]) - 1))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-                    if key == (1, 0):
-                        return best
-        return best
-
-    k = 0
-    limit = min(m, n)
-    while k < limit:
-        pivot = select_pivot(k)
-        if pivot is None:
-            break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        if rows[k][k] < 0:
-            negate_row(k)
-
-        while True:
-            p = rows[k][k]
-            # Clear column k with row operations.
-            dirty = False
-            for i in sorted(cols[k]):
-                if i == k:
-                    continue
-                v = rows[i][k]
-                q = v // p
-                if q:
-                    add_row(i, k, -q)
-                if rows[i].get(k):
-                    # Remainder in (0, p) becomes the new, smaller pivot.
-                    swap_rows(k, i)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # Column k is now e_k; clearing row k only touches row k.
-            for j in sorted(rows[k]):
-                if j == k:
-                    continue
-                v = rows[k][j]
-                q = v // p
-                if q:
-                    add_col(j, k, -q)
-                if rows[k].get(j):
-                    swap_cols(k, j)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # Pivot must divide everything that remains.
-            if p != 1:
-                bad = None
-                for i in range(k + 1, m):
-                    for j, v in rows[i].items():
-                        if v % p:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is not None:
-                    add_row(k, bad, 1)
-                    continue
-            break
-        k += 1
-
-    diagonal = tuple(rows[i].get(i, 0) for i in range(limit))
-    assert all(d >= 0 for d in diagonal)
-    return SnfResult(diagonal=diagonal, rank=k)
+    return sparse_snf([{i: row[j] for i, row in enumerate(matrix) if row[j]}
+                       for j in range(n)], m)
 
 
 def _eliminate_units(columns, row_count: int, record: bool = False):
@@ -294,67 +164,66 @@ def sparse_snf(columns, row_count: int) -> SnfResult:
     """Smith normal form of a sparse integer matrix, without transforms.
 
     columns[j] maps a row index in 0..row_count-1 to the entry of column j;
-    absent and zero entries are zero.  The result equals
-    smith_normal_form(dense).diagonal and .rank, because the Smith diagonal
-    is unique.
+    absent and zero entries are zero.
 
     The unit pivots go first, through _eliminate_units; each leaves a 1 on
-    the diagonal.  Once no unit is left, smith_normal_form diagonalizes the
-    dense remainder, if there is one.  presentation.abelian_images shares
-    both steps and also reads its images off echelon's kernel of the
-    remainder.
+    the diagonal.  The dense remainder that no unit reaches goes to
+    _smith_diagonal.  presentation.abelian_images shares the elimination
+    and also reads its images off echelon's kernel of the remainder.
     """
     rows, cols, units, _ = _eliminate_units(columns, row_count)
     live_cols = [j for j, col in enumerate(cols) if col]
     rest = [[row.get(j, 0) for j in live_cols] for row in rows if row]
-    nonzero = (1,) * units
-    if rest:
-        remainder = smith_normal_form(rest)
-        nonzero += remainder.diagonal[:remainder.rank]
+    nonzero = (1,) * units + _smith_diagonal(rest)
     limit = min(row_count, len(cols))
     return SnfResult(diagonal=nonzero + (0,) * (limit - len(nonzero)),
                      rank=len(nonzero))
 
 
+def _smith_diagonal(rows) -> tuple[int, ...]:
+    """The nonzero Smith invariants of a dense integer matrix, d_1 | d_2 | ...
+
+    echelon of the rows, then of the transposed basis, and so on, until
+    every basis row has one nonzero entry (Kannan & Bachem 1979).  Each
+    pass is unimodular up to dropping zero rows, so the nonzero invariants
+    stay the same.  Each pass also either strictly shrinks the top-left
+    pivot p, or clears its row and column for good.  After a pass, p is the
+    gcd of the first column and the rest of that column is zero, so the
+    next pass's pivot is the gcd of the first row and divides p.  If it
+    equals p, then p divides the whole first row.  echelon's Euclid then
+    takes the row (p, 0, .., 0) as pivot, because it is the first of least
+    absolute value, and the exact quotients clear the column without
+    touching the other columns.  From then on echelon never moves that row,
+    and the other rows are an echelon of the submatrix.  A pivot that
+    shrinks at least halves, so the passes end.  The diagonal that is left
+    goes into divisibility order by gcd and lcm, pair by pair.
+    """
+    basis = echelon(rows)[0]
+    while any(sum(1 for v in row if v) > 1 for row in basis):
+        basis = echelon(list(zip(*basis)))[0]
+    diagonal = [next(v for v in row if v) for row in basis]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            g = gcd(a, b)
+            diagonal[i], diagonal[j] = g, a // g * b
+    return tuple(diagonal)
+
+
 def rank_of_rows(rows) -> int:
     """Rank over Q of a matrix given by rows of ints or Fractions.
 
-    Rows are copied, a row holding a Fraction is scaled to integers (scaling
-    does not change rank), and the copy is reduced by fraction-free Bareiss
-    elimination.
+    A row that is not all ints is scaled to integers by the lcm of its
+    denominators, which does not change the rank, and echelon counts the
+    basis rows.
     """
-    a = []
+    integral = []
     for row in rows:
-        row = list(row)
         if not all(type(x) is int for x in row):
-            denom = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    denom = denom * x.denominator // gcd(denom, x.denominator)
-            row = [int(x * denom) for x in row]
-        a.append(row)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(n):
-        pivot_row = None
-        for i in range(rank, m):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        for i in range(rank + 1, m):
-            for j in range(col + 1, n):
-                a[i][j] = (a[i][j] * a[rank][col] - a[i][col] * a[rank][j]) // prev
-            a[i][col] = 0
-        prev = a[rank][col]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+            scale = lcm(*(x.denominator for x in row))
+            row = [int(x * scale) for x in row]
+        integral.append(row)
+    return len(echelon(integral)[0])
 
 
 def echelon(rows):

@@ -247,8 +247,9 @@ def abelian_images(pres: Presentation) -> AbelianMap:
     vectors.  Back-substituting the log in reverse order, on images held
     as sparse {coordinate: value} dicts, gives the image of every
     eliminated generator; each image becomes a tuple once, at the end.
-    Every relation maps to zero and the images generate Z^n.  Raises NotFreeAbelianError when an invariant factor
-    exceeds one.
+    Every relation maps to zero and the images generate Z^n.
+
+    Raises NotFreeAbelianError when an invariant factor exceeds one.
     """
     k = len(pres.generators)
     rows, cols, _, steps = _eliminate_units(exponent_columns(pres), k, record=True)

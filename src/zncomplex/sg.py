@@ -91,16 +91,6 @@ def projectivize(cfg: PointConfig) -> tuple[PointConfig, tuple[int, ...]]:
     return PointConfig(cfg.dimension, points), normal
 
 
-def affine_dimension(cfg: PointConfig) -> int:
-    """Rank of the differences to the first point, in exact arithmetic."""
-    if not cfg.points:
-        raise ValueError("affine dimension needs at least one point")
-    base = cfg.points[0]
-    rows = [[Fraction(x) - Fraction(y) for x, y in zip(p, base)]
-            for p in cfg.points[1:]]
-    return rank_of_rows(rows) if rows else 0
-
-
 def _line_key(p, q):
     delta = [Fraction(b) - Fraction(a) for a, b in zip(p, q)]
     scale = lcm(*(x.denominator for x in delta))

@@ -1,14 +1,15 @@
 """Dense abelianization verdict, kept as an oracle for presentation.abelian_images.
 
-The dense |S| x |R| exponent matrix and one Smith form of it give the rank
-of the free abelianization, or its torsion.  This shares no code with the
-sparse unit elimination and echelon kernel that presentation.abelian_images
-uses, except smith_normal_form itself.  It gives no images: the tests check
-those directly (every relation maps to zero and the images generate Z^n).
+The dense |S| x |R| exponent matrix and one textbook Smith diagonal of it
+(lattice_oracle.smith_diagonal) give the rank of the free abelianization,
+or its torsion.  This shares no code with the sparse unit elimination and
+echelon kernel that presentation.abelian_images uses.  It gives no images:
+the tests check those directly (every relation maps to zero and the images
+generate Z^n).
 """
 
+from lattice_oracle import smith_diagonal
 from zncomplex.errors import NotFreeAbelianError
-from zncomplex.intlinalg import smith_normal_form
 from zncomplex.presentation import Presentation
 
 
@@ -23,13 +24,14 @@ def exponent_matrix(pres: Presentation) -> list[list[int]]:
 
 
 def dense_abelian_rank(pres: Presentation) -> int:
-    """The rank n of the abelianization Z^n, from the dense Smith form.
+    """The rank n of the abelianization Z^n, from the dense Smith diagonal.
 
     The quotient of Z^{|S|} by the relation lattice is Z^(|S| - rank) plus
     the torsion.  Raises NotFreeAbelianError when an invariant factor
     exceeds one.
     """
-    snf = smith_normal_form(exponent_matrix(pres))
-    if snf.torsion:
-        raise NotFreeAbelianError(snf.torsion)
-    return len(pres.generators) - snf.rank
+    diagonal = smith_diagonal(exponent_matrix(pres))
+    torsion = tuple(d for d in diagonal if d > 1)
+    if torsion:
+        raise NotFreeAbelianError(torsion)
+    return len(pres.generators) - sum(1 for d in diagonal if d)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_oracle
-from lattice_oracle import is_parallel
+from lattice_oracle import brute_rank, is_parallel, smith_diagonal
 from zncomplex import intlinalg
 from zncomplex.intlinalg import (
     SnfResult,
@@ -53,6 +53,21 @@ def diagonal_by_minor_gcds(matrix):
             out.append(g // previous)
             previous = g
     return tuple(out)
+
+
+def oracle_snf(matrix):
+    """The textbook dense Smith diagonal and its rank, as an SnfResult."""
+    diagonal = smith_diagonal(matrix)
+    return SnfResult(diagonal, sum(1 for d in diagonal if d))
+
+
+def test_smith_diagonal_oracle_against_minor_gcds():
+    rng = random.Random(1979)
+    for _ in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        matrix = [[rng.choice((0, 0, 1, -2, 3, 4, -6, 9, rng.randint(-12, 12)))
+                   for _ in range(n)] for _ in range(m)]
+        assert smith_diagonal(matrix) == diagonal_by_minor_gcds(matrix), matrix
 
 
 def assert_certificate(matrix):
@@ -113,8 +128,8 @@ def test_snf_rectangular_shapes():
 
 
 def test_sparse_snf_shapes():
-    assert sparse_snf([], 0) == smith_normal_form([])
-    assert sparse_snf([{}, {}], 3) == smith_normal_form([[0, 0]] * 3)
+    assert sparse_snf([], 0) == oracle_snf([]) == SnfResult((), 0)
+    assert sparse_snf([{}, {}], 3) == oracle_snf([[0, 0]] * 3)
     assert sparse_snf([{0: 2}, {1: 3}], 2).diagonal == (1, 6)
     assert sparse_snf([{0: 1, 1: -1}, {0: 0}], 2) == SnfResult((1, 0), 1)
     with pytest.raises(ValueError):
@@ -126,12 +141,14 @@ def test_sparse_snf_against_sympy(monkeypatch):
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
     remainders = []
+    smith_diagonal_of_remainder = intlinalg._smith_diagonal
 
-    def counting_snf(matrix, *args, **kwargs):
-        remainders.append(matrix)
-        return smith_normal_form(matrix, *args, **kwargs)
+    def counting_diagonal(rows):
+        if rows:
+            remainders.append(rows)
+        return smith_diagonal_of_remainder(rows)
 
-    monkeypatch.setattr(intlinalg, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(intlinalg, "_smith_diagonal", counting_diagonal)
     rng = random.Random(2001)
     entries = (1, -1, 2, -2, 3, -4, 6, 9)
     for _ in range(80):
@@ -140,13 +157,36 @@ def test_sparse_snf_against_sympy(monkeypatch):
                     if rng.random() < 0.4} for _ in range(n)]
         dense = [[col.get(i, 0) for col in columns] for i in range(m)]
         result = sparse_snf(columns, m)
-        assert result == smith_normal_form(dense), dense
+        assert result == oracle_snf(dense), dense
         oracle = sympy_snf(sympy.Matrix(dense), domain=sympy.ZZ)
         assert result.diagonal == tuple(abs(oracle[i, i])
                                         for i in range(min(m, n))), dense
     # Enough cases keep non-unit entries after unit elimination that the
-    # dense remainder path runs.
+    # remainder path runs.
     assert len(remainders) >= 40
+
+
+def test_snf_without_units_against_sympy_and_oracle():
+    # No entry is a unit, so unit elimination leaves the whole matrix to
+    # the remainder path; some shapes have no rows, no columns or no nonzero.
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(4021)
+    shapes = [(0, 5), (5, 0), (0, 0), (7, 4), (20, 20)]
+    shapes += [(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(40)]
+    for k, (m, n) in enumerate(shapes):
+        density = 0 if k == 3 else rng.random()
+        columns = [{i: rng.choice((2, -2, 3, 4, -6, 9)) for i in range(m)
+                    if rng.random() < density} for _ in range(n)]
+        matrix = [[col.get(i, 0) for col in columns] for i in range(m)]
+        result = sparse_snf(columns, m)
+        assert len(result.diagonal) == min(m, n)
+        assert result == smith_normal_form(matrix) == oracle_snf(matrix), matrix
+        if m and n:
+            oracle = sympy_snf(sympy.Matrix(matrix), domain=sympy.ZZ)
+            assert result.diagonal == tuple(abs(oracle[i, i])
+                                            for i in range(min(m, n))), matrix
 
 
 def test_rank_of_rows():
@@ -161,7 +201,7 @@ def test_rank_matches_snf_rank():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         matrix = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        assert rank_of_rows(matrix) == smith_normal_form(matrix).rank
+        assert rank_of_rows(matrix) == oracle_snf(matrix).rank
 
 
 def combination(coeffs, vectors, n):
@@ -169,7 +209,7 @@ def combination(coeffs, vectors, n):
 
 
 def assert_echelon(rows):
-    """echelon(rows) against the Smith form and minor-gcd oracles."""
+    """echelon(rows) against the rank and minor-gcd oracles."""
     basis, combos, kernel = echelon(rows)
     m, n = len(rows), len(rows[0]) if rows else 0
     last = -1
@@ -187,8 +227,8 @@ def assert_echelon(rows):
         assert diagonal_by_minor_gcds(dense[len(combos):]) == (1,) * len(kernel)
     if m:
         assert abs(det(dense)) == 1
-    snf = smith_normal_form(rows)
-    assert len(basis) == snf.rank and len(kernel) == m - snf.rank
+    rank = brute_rank(rows)
+    assert len(basis) == rank and len(kernel) == m - rank
     # The basis spans the row lattice: every row has coordinates in it.
     for row in rows:
         coeffs = coordinates(row, basis)
@@ -200,7 +240,7 @@ def assert_echelon(rows):
 def in_lattice(vector, rows):
     """Oracle: same rank and same product of Smith diagonal with vector added."""
     def invariants(matrix):
-        snf = smith_normal_form(matrix)
+        snf = oracle_snf(matrix)
         product = 1
         for d in snf.diagonal[:snf.rank]:
             product *= d
@@ -284,7 +324,7 @@ def test_saturated_span_by_two_kernels():
         span = saturated_span(rows, n)
         assert len(span) == rank_of_rows(rows)
         if span:
-            assert smith_normal_form(span).diagonal == (1,) * len(span)
+            assert smith_diagonal(span) == (1,) * len(span)
             assert rank_of_rows(rows + span) == len(span)
 
 

@@ -10,7 +10,6 @@ from lattice_oracle import brute_rank, is_parallel
 from zncomplex import sg
 from zncomplex.errors import SgHypothesisError
 from zncomplex.sg import (
-    affine_dimension,
     config,
     hypergraph,
     is_delta_sg,
@@ -143,15 +142,6 @@ def test_projectivize_images_distinct_and_incidence_preserved():
                     images_collinear = collinear(
                         out.points[i], out.points[j], out.points[k])
                     assert through_zero == images_collinear
-
-
-def test_affine_dimension():
-    assert affine_dimension(config([(3, 5)])) == 0
-    assert affine_dimension(config([(0, 0), (1, 1), (2, 2)])) == 1
-    grid = config([(x, y) for x in range(3) for y in range(3)])
-    assert affine_dimension(grid) == 2
-    with pytest.raises(ValueError):
-        affine_dimension(config([], dimension=2))
 
 
 def test_special_lines_grid():

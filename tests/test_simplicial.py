@@ -6,8 +6,8 @@ import weakref
 
 import pytest
 
+from lattice_oracle import brute_rank, smith_diagonal
 from zncomplex.errors import ScxFormatError, SpurError
-from zncomplex.intlinalg import smith_normal_form
 from zncomplex.simplicial import (
     Homology,
     SimplicialComplex,
@@ -128,11 +128,12 @@ def test_homology_klein_bottle_torsion():
 
 
 def reference_homology(complex_, k):
-    """H_k from dense smith_normal_form of d_k and d_k+1, degree by degree."""
+    """H_k from the rank of d_k and the textbook Smith diagonal of d_k+1."""
     n_k = len(complex_.faces_of_dim(k))
-    rank_k = smith_normal_form(boundary_matrix(complex_, k)).rank if k else 0
-    up = smith_normal_form(boundary_matrix(complex_, k + 1))
-    return Homology(n_k - rank_k - up.rank, up.torsion)
+    rank_k = brute_rank(boundary_matrix(complex_, k)) if k else 0
+    up = smith_diagonal(boundary_matrix(complex_, k + 1))
+    rank_up = sum(1 for d in up if d)
+    return Homology(n_k - rank_k - rank_up, tuple(d for d in up if d > 1))
 
 
 def test_homology_euler_consistency_random():
