@@ -1,16 +1,19 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, each with its evidence as .witness."""
 
 
 class ZnComplexError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; .witness is the evidence, or None."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class InvalidComplexError(ZnComplexError):
-    """A simplicial complex failed validation; carries the report."""
+    """A simplicial complex failed validation; the witness is the report."""
 
     def __init__(self, report):
-        super().__init__("; ".join(report.violations) or "invalid complex")
-        self.report = report
+        super().__init__("; ".join(report.violations) or "invalid complex", report)
 
 
 class ScxFormatError(ZnComplexError):
@@ -18,11 +21,10 @@ class ScxFormatError(ZnComplexError):
 
 
 class SpurError(ZnComplexError):
-    """A vertex set handed to a collapse is not a spur."""
+    """A vertex set handed to a collapse is not a spur; the witness is the report."""
 
     def __init__(self, report):
-        super().__init__("; ".join(report.violations) or "not a spur")
-        self.report = report
+        super().__init__("; ".join(report.violations) or "not a spur", report)
 
 
 class UnsupportedSizeError(ZnComplexError):
@@ -30,41 +32,34 @@ class UnsupportedSizeError(ZnComplexError):
 
 
 class TooLongError(ZnComplexError):
-    """A word does not reduce to at most three generator powers."""
+    """A word does not reduce to at most three syllables; the witness is the word."""
 
     def __init__(self, word):
-        super().__init__(f"word does not reduce to <= 3 syllables: {word!r}")
-        self.word = word
+        super().__init__(f"word does not reduce to <= 3 syllables: {word!r}", word)
 
 
 class NotFreeAbelianError(ZnComplexError):
-    """The abelianization has torsion; carries the torsion coefficients."""
+    """The abelianization has torsion; the witness is the torsion coefficients."""
 
     def __init__(self, torsion):
-        super().__init__(f"abelianization has torsion {list(torsion)}")
-        self.torsion = tuple(torsion)
+        super().__init__(f"abelianization has torsion {list(torsion)}", tuple(torsion))
 
 
 class SparsityError(ZnComplexError):
     """A relation set violates a sparsity precondition; may carry a witness."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class SgHypothesisError(ZnComplexError):
-    """The per-plane edge-count hypothesis fails; carries a witness subset."""
+    """The per-plane edge-count hypothesis fails; the witness is a vertex subset."""
 
     def __init__(self, witness):
-        super().__init__(f"plane hypothesis violated on vertex set {sorted(witness)}")
-        self.witness = frozenset(witness)
+        super().__init__(f"plane hypothesis violated on vertex set {sorted(witness)}",
+                         frozenset(witness))
 
 
 class PipelineStageError(ZnComplexError):
     """A pipeline stage's precondition failed."""
 
     def __init__(self, stage, message, witness=None):
-        super().__init__(f"stage {stage}: {message}")
+        super().__init__(f"stage {stage}: {message}", witness)
         self.stage = stage
-        self.witness = witness

@@ -13,15 +13,16 @@ everything else calls one of them:
 - echelon is integer row echelon form by Euclid, with its transform.  It
   diagonalizes what unit elimination leaves: _smith_diagonal alternates it
   on rows and columns, for sparse_snf and hence smith_normal_form, which
-  abelian_images calls for its torsion verdict.  Its kernel is the one
-  saturated integer left kernel: it gives abelian_images the images of
-  the generators that elimination leaves, and replace_subspace its
-  projection and saturated basis.  echelon and coordinates also give
-  replace_sparse a basis and each member's coordinates, and
+  abelian_images calls on the echelon basis of its remainder for the
+  torsion verdict.  Its kernel is the one saturated integer left kernel:
+  it gives abelian_images the images of the generators that elimination
+  leaves, replace_subspace its projection and saturated basis, and
+  pipeline.run_lower its span-closed S' (the generators that every
+  normal to the kept images annihilates).  echelon and coordinates also
+  give replace_sparse a basis and each member's coordinates, and
   replace_subspace the basis's words.  rank_of_rows counts its basis rows
-  for ranks over Q: presentation.subset_dimension (which also names the
-  dimension in minimize's and relation_planes' errors) and sg's span
-  dimensions.
+  for ranks over Q: sg's span dimensions, and presentation.subset_dimension,
+  which names the dimension in minimize's and relation_planes' errors.
 - plane_key is the one rank-two test and plane key: presentation's
   AbelianMap.plane (for minimize and relation_planes) and sg.sg_reduce
   call it alone.

@@ -22,8 +22,9 @@ from .errors import (
     SparsityError,
     TooLongError,
 )
-from .intlinalg import sparse_snf
+from .intlinalg import echelon, sparse_snf
 from .presentation import (
+    AbelianMap,
     Presentation,
     SparsityPartition,
     abelian_images,
@@ -33,7 +34,6 @@ from .presentation import (
     relations_on,
     replace_sparse,
     replace_subspace,
-    subset_dimension,
 )
 from .sg import Hypergraph3, config, sg_reduce
 from .simplicial import _compatible, homology_through, is_spur
@@ -124,6 +124,12 @@ class PipelineReport:
     def ok(self) -> bool:
         return all(s.ok for s in self.stages)
 
+    def record(self, name: str, pres: Presentation, rank: int,
+               detail: str = "", ok: bool = True) -> None:
+        """Append the stage's record, with the sizes of the presentation it left."""
+        self.stages.append(StageRecord(
+            name, len(pres.generators), len(pres.relations), rank, detail, ok))
+
     def render(self) -> str:
         lines = [f"reduction pipeline, c = {self.c}"]
         for s in self.stages:
@@ -149,6 +155,19 @@ def _verified_rank(pres: Presentation, stage: str, expected: int) -> None:
             stage, f"free rank {rank}, expected {expected}")
 
 
+def _span_closure(phi: AbelianMap, generators, kept) -> list[str]:
+    """The generators whose images lie in the rational span of the kept images.
+
+    echelon's left kernel of the kept images' coordinate columns, the first
+    step of replace_subspace too, is a basis of the normals to that span;
+    an image lies in the span exactly when every normal annihilates it.
+    """
+    _, _, normals = echelon(
+        [[phi.vector(g)[t] for g in kept] for t in range(phi.rank)])
+    return [g for g in generators if not any(
+        sum(phi.vector(g)[t] * v for t, v in y.items()) for y in normals)]
+
+
 def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
     """Run the full reduction on a 3-presentation of Z^n.
 
@@ -156,135 +175,101 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
     the image hypergraph at threshold c*k/n, grow the surviving generator
     set until it is span-closed, split the relations into sparse / extra /
     other, rebase the critical sets, kill the surviving subspace, and strip
-    the trivialized other-class relations.  Each stage re-verifies the
-    abelianization by a fresh Smith form; precondition failures raise
-    PipelineStageError with the stage name and a witness.
+    the trivialized other-class relations.  Each stage that rewrites the
+    presentation re-verifies its abelianization by a fresh Smith form.  One
+    funnel turns a NotFreeAbelianError, TooLongError, SparsityError or
+    SgHypothesisError into a PipelineStageError naming the stage, with the
+    same witness; a stage's own PipelineStageError passes through as is.
     """
     c = Fraction(c)
     report = PipelineReport(c=c)
     stage = "abelianize"
     try:
         phi = abelian_images(pres)
-    except NotFreeAbelianError as exc:
-        raise PipelineStageError(stage, str(exc), witness=exc.torsion) from exc
-    n = phi.rank
-    if n == 0:
-        raise PipelineStageError(stage, "rank 0: the threshold c*k/n needs n >= 1")
-    report.stages.append(StageRecord(
-        stage, len(pres.generators), len(pres.relations), n))
+        n = phi.rank
+        if n == 0:
+            raise PipelineStageError(stage, "rank 0: the threshold c*k/n needs n >= 1")
+        report.record(stage, pres, n)
 
-    stage = "minimize"
-    try:
+        stage = "minimize"
         p1, phi1 = minimize(pres, phi)
-    except TooLongError as exc:
-        raise PipelineStageError(stage, str(exc), witness=exc.word) from exc
-    _verified_rank(p1, stage, n)
-    k = len(p1.generators)
-    report.stages.append(StageRecord(stage, k, len(p1.relations), n))
+        _verified_rank(p1, stage, n)
+        k = len(p1.generators)
+        report.record(stage, p1, n)
 
-    stage = "maximal-sparse"
-    try:
+        stage = "maximal-sparse"
         sparse_idx = maximal_sparse_subset(p1, phi1)
-    except SparsityError as exc:
+        report.record(stage, p1, n, f"|R'| = {len(sparse_idx)}")
+
+        stage = "sg-reduce"
+        threshold = c * k / n
+        gen_index = {g: i for i, g in enumerate(p1.generators)}
+        graph = Hypergraph3(tuple(range(k)), tuple(
+            frozenset(gen_index[g] for g in p1.support(i)) for i in sparse_idx))
+        points = config([phi1.vector(g) for g in p1.generators], dimension=n)
+        reduction = sg_reduce(points, graph, threshold)
+        report.record(
+            stage, p1, n,
+            f"threshold {threshold}, kept {len(reduction.kept)} points, "
+            f"span {reduction.dim_span} <= {reduction.bound}, "
+            f"removed {reduction.removed_edges} < {reduction.removal_budget}",
+            reduction.dim_within_bound and reduction.removal_within_budget)
+
+        stage = "augment"
+        d = reduction.dim_span
+        s_prime = _span_closure(
+            phi1, p1.generators, [p1.generators[i] for i in reduction.kept])
+        report.record(stage, p1, n, f"|S'| = {len(s_prime)}, d = {d}")
+
+        stage = "partition"
+        on_sprime = set(relations_on(p1, range(len(p1.relations)), s_prime))
+        sparse_set = set(sparse_idx)
+        r_s = tuple(i for i in sparse_idx if i not in on_sprime)
+        r_e = tuple(i for i in range(len(p1.relations))
+                    if i not in sparse_set and i not in on_sprime)
+        r_o = tuple(sorted(on_sprime))
+        report.record(stage, p1, n,
+                      f"|R_s| = {len(r_s)}, |R_e| = {len(r_e)}, |R_o| = {len(r_o)}")
+
+        stage = "replace-sparse"
+        sparse_result = replace_sparse(p1, phi1, SparsityPartition(r_s, r_e, r_o))
+        p2, phi2 = sparse_result.presentation, sparse_result.phi
+        _verified_rank(p2, stage, n)
+        gap, chain = len(p2.relations) - len(p2.generators), len(r_s) + len(r_o) - k
+        report.record(stage, p2, n, f"|R|-|S| = {gap} = |R_s|+|R_o|-|S| = {chain}",
+                      gap == chain)
+
+        stage = "replace-subspace"
+        p3 = replace_subspace(p2, phi2, s_prime).presentation
+        _verified_rank(p3, stage, n - d)
+        report.record(stage, p3, n - d, f"rank dropped by d = {d}")
+
+        stage = "strip-other"
+        other_new = [sparse_result.relation_map[i] for i in r_o]
+        for i, j in zip(r_o, other_new):
+            if j is None:
+                raise PipelineStageError(
+                    stage, f"other-class relation {i} was consumed early", witness=i)
+        for j in other_new:
+            if p3.relations[j]:
+                raise PipelineStageError(
+                    stage, f"relation {j} should have trivialized", witness=j)
+        stripped = set(other_new)
+        p4 = Presentation(p3.generators, tuple(
+            rel for j, rel in enumerate(p3.relations) if j not in stripped))
+        _verified_rank(p4, stage, n - d)
+        report.record(stage, p4, n - d, f"stripped {len(other_new)} trivial relations")
+    except (NotFreeAbelianError, SgHypothesisError, SparsityError, TooLongError) as exc:
         raise PipelineStageError(stage, str(exc), witness=exc.witness) from exc
-    report.stages.append(StageRecord(
-        stage, k, len(p1.relations), n, detail=f"|R'| = {len(sparse_idx)}"))
-
-    stage = "sg-reduce"
-    threshold = c * k / n
-    points = [phi1.vector(g) for g in p1.generators]
-    gen_index = {g: i for i, g in enumerate(p1.generators)}
-    edges = tuple(
-        frozenset(gen_index[g] for g in p1.support(i)) for i in sparse_idx)
-    graph = Hypergraph3(tuple(range(k)), edges)
-    try:
-        reduction = sg_reduce(config(points, dimension=n), graph, threshold)
-    except SgHypothesisError as exc:
-        raise PipelineStageError(stage, str(exc), witness=exc.witness) from exc
-    sg_ok = reduction.dim_within_bound and reduction.removal_within_budget
-    report.stages.append(StageRecord(
-        stage, k, len(p1.relations), n,
-        detail=(f"threshold {threshold}, kept {len(reduction.kept)} points, "
-                f"span {reduction.dim_span} <= {reduction.bound}, "
-                f"removed {reduction.removed_edges} < {reduction.removal_budget}"),
-        ok=sg_ok))
-
-    stage = "augment"
-    kept = [p1.generators[i] for i in sorted(reduction.kept)]
-    d = subset_dimension(phi1, kept)
-    # A generator in the span of the kept ones leaves that span unchanged,
-    # so one pass over the generators closes the set.
-    s_prime = [g for g in p1.generators
-               if g in kept or subset_dimension(phi1, kept + [g]) == d]
-    report.stages.append(StageRecord(
-        stage, k, len(p1.relations), n,
-        detail=f"|S'| = {len(s_prime)}, d = {d}"))
-
-    stage = "partition"
-    on_sprime = set(relations_on(p1, range(len(p1.relations)), s_prime))
-    sparse_set = set(sparse_idx)
-    r_s = tuple(i for i in sparse_idx if i not in on_sprime)
-    r_e = tuple(i for i in range(len(p1.relations))
-                if i not in sparse_set and i not in on_sprime)
-    r_o = tuple(sorted(on_sprime))
-    partition = SparsityPartition(r_s, r_e, r_o)
-    report.stages.append(StageRecord(
-        stage, k, len(p1.relations), n,
-        detail=f"|R_s| = {len(r_s)}, |R_e| = {len(r_e)}, |R_o| = {len(r_o)}"))
-
-    stage = "replace-sparse"
-    try:
-        sparse_result = replace_sparse(p1, phi1, partition)
-    except SparsityError as exc:
-        raise PipelineStageError(stage, str(exc), witness=exc.witness) from exc
-    p2, phi2 = sparse_result.presentation, sparse_result.phi
-    _verified_rank(p2, stage, n)
-    identity_ok = (len(p2.relations) - len(p2.generators)
-                   == len(r_s) + len(r_o) - k)
-    report.stages.append(StageRecord(
-        stage, len(p2.generators), len(p2.relations), n,
-        detail=(f"|R|-|S| = {len(p2.relations) - len(p2.generators)} "
-                f"= |R_s|+|R_o|-|S| = {len(r_s) + len(r_o) - k}"),
-        ok=identity_ok))
-
-    stage = "replace-subspace"
-    subspace_result = replace_subspace(p2, phi2, s_prime)
-    p3, phi3 = subspace_result.presentation, subspace_result.phi
-    _verified_rank(p3, stage, n - d)
-    report.stages.append(StageRecord(
-        stage, len(p3.generators), len(p3.relations), n - d,
-        detail=f"rank dropped by d = {d}"))
-
-    stage = "strip-other"
-    other_new = []
-    for i in r_o:
-        j = sparse_result.relation_map[i]
-        if j is None:
-            raise PipelineStageError(
-                stage, f"other-class relation {i} was consumed early", witness=i)
-        other_new.append(j)
-    for j in other_new:
-        if p3.relations[j]:
-            raise PipelineStageError(
-                stage, f"relation {j} should have trivialized", witness=j)
-    stripped = set(other_new)
-    keep = [rel for j, rel in enumerate(p3.relations) if j not in stripped]
-    p4 = Presentation(p3.generators, tuple(keep))
-    _verified_rank(p4, stage, n - d)
-    report.stages.append(StageRecord(
-        stage, len(p4.generators), len(p4.relations), n - d,
-        detail=f"stripped {len(other_new)} trivial relations"))
 
     difference = len(p4.relations) - len(p4.generators)
     expected_difference = len(r_s) + d - (k - len(s_prime))
-    bound = c * k * k / n + d
     report.final_difference = difference
-    report.final_bound = bound
-    report.stages.append(StageRecord(
-        "final", len(p4.generators), len(p4.relations), n - d,
-        detail=(f"|R|-|S| = {difference}, chain value {expected_difference}, "
-                f"bound {bound}"),
-        ok=(difference == expected_difference and difference <= bound)))
+    report.final_bound = bound = c * k * k / n + d
+    report.record("final", p4, n - d,
+                  f"|R|-|S| = {difference}, chain value {expected_difference}, "
+                  f"bound {bound}",
+                  difference == expected_difference and difference <= bound)
     return report
 
 

@@ -239,12 +239,12 @@ def abelian_images(pres: Presentation) -> AbelianMap:
     intlinalg._eliminate_units, the core sparse_snf shares, takes out one
     generator per unit pivot and logs its substitution e_i = -p * sum(a_k
     e_k).  The generators left over are presented by the non-unit
-    remainder R, which is reduced twice: smith_normal_form(R) gives the
-    torsion, and echelon(R)'s kernel, a saturated basis y_1..y_n of the
-    integer left kernel, gives survivor s the image (y_1[s], .., y_n[s]).
-    Two runs cost nothing where it matters: R has no columns on every
-    extracted X_m, so the kernel is the identity and the images are unit
-    vectors.  Back-substituting the log in reverse order, on images held
+    remainder R, which one echelon run reduces.  Its kernel, a saturated
+    basis y_1..y_n of the integer left kernel, gives survivor s the image
+    (y_1[s], .., y_n[s]).  Row operations keep the invariant factors, so
+    smith_normal_form of its basis gives R's torsion.  On every extracted
+    X_m, R has no columns, so the kernel is the identity and the images are
+    unit vectors.  Back-substituting the log in reverse order, on images held
     as sparse {coordinate: value} dicts, gives the image of every
     eliminated generator; each image becomes a tuple once, at the end.
     Every relation maps to zero and the images generate Z^n.
@@ -257,10 +257,10 @@ def abelian_images(pres: Presentation) -> AbelianMap:
     survivors = [i for i in range(k) if i not in eliminated]
     live = [j for j, col in enumerate(cols) if col]
     rest = [[rows[i].get(j, 0) for j in live] for i in survivors]
-    torsion = smith_normal_form(rest).torsion
+    basis, _, kernel = echelon(rest)
+    torsion = smith_normal_form(basis).torsion
     if torsion:
         raise NotFreeAbelianError(torsion)
-    _, _, kernel = echelon(rest)
     rank = len(kernel)
     images: dict[int, dict[int, int]] = {i: {} for i in survivors}
     for t, y in enumerate(kernel):
@@ -380,15 +380,13 @@ def _fused_image(vg, vh, a: int, b: int) -> tuple[int, ...]:
 
 
 def _coprime_dependency(u, v) -> tuple[int, int]:
-    """Coprime (a, b) with a*u + b*v = 0 for parallel nonzero integer vectors."""
-    content = 0
-    for x in u:
-        content = gcd(content, x)
-    direction = [x // content for x in u]  # u = content * direction, content > 0
-    k = next(i for i, x in enumerate(direction) if x)
-    beta = v[k] // direction[k]
-    divisor = gcd(content, beta)
-    return beta // divisor, -content // divisor
+    """Coprime (a, b), b < 0, with a*u + b*v = 0 for parallel nonzero integer vectors.
+
+    (v[k], -u[k]) over gcd(u[k], v[k]) signed like u[k], at u's first nonzero k.
+    """
+    k = next(i for i, x in enumerate(u) if x)
+    g = gcd(u[k], v[k]) if u[k] > 0 else -gcd(u[k], v[k])
+    return v[k] // g, -u[k] // g
 
 
 def minimize(pres: Presentation, phi: AbelianMap) -> tuple[Presentation, AbelianMap]:

@@ -1,21 +1,30 @@
 """End-to-end drivers and the command line."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import zncomplex
+from lattice_oracle import brute_rank
+from zncomplex import errors
 from zncomplex.cli import main
 from zncomplex.construction import build_x
 from zncomplex.errors import PipelineStageError
-from zncomplex.pipeline import report_bounds, run_lower, run_upper
+from zncomplex.pipeline import _span_closure, report_bounds, run_lower, run_upper
 from zncomplex.presentation import (
+    AbelianMap,
     Presentation,
     dumps_presentation,
     extract_presentation,
     loads_presentation,
     standard_zn,
 )
+from zncomplex.report import Report
 from zncomplex.sg import points_to_json, config
 from zncomplex.simplicial import read_scx
 
@@ -51,12 +60,84 @@ def test_run_lower_torsion_fails_early():
     with pytest.raises(PipelineStageError) as info:
         run_lower(Presentation(("g",), ((("g", 2),),)))
     assert info.value.stage == "abelianize"
+    assert info.value.witness == (2,)
 
 
 def test_run_lower_rejects_long_relations():
     with pytest.raises(PipelineStageError) as info:
         run_lower(standard_zn(3, "commutator"))
     assert info.value.stage == "minimize"
+    assert info.value.witness == (("g1", 1), ("g2", 1), ("g1", -1), ("g2", -1))
+
+
+def test_every_toolkit_error_exposes_witness():
+    report = Report.of(["bad"], witness=7)
+    made = {
+        errors.ZnComplexError("plain"): None,
+        errors.ScxFormatError("bad line"): None,
+        errors.UnsupportedSizeError("size 4"): None,
+        errors.SparsityError("not sparse", witness=(1, 2)): (1, 2),
+        errors.InvalidComplexError(report): report,
+        errors.SpurError(report): report,
+        errors.TooLongError((("a", 1), ("b", 1))): (("a", 1), ("b", 1)),
+        errors.NotFreeAbelianError([2, 4]): (2, 4),
+        errors.SgHypothesisError([2, 0]): frozenset({0, 2}),
+        errors.PipelineStageError("minimize", "bad", witness=0): 0,
+    }
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.ZnComplexError)}
+    assert {type(exc) for exc in made} == classes
+    for exc, witness in made.items():
+        assert exc.witness == witness, type(exc).__name__
+
+
+def brute_closure(phi, generators, kept):
+    """The generators whose image leaves the rank of the kept images unchanged."""
+    rows = [phi.vector(g) for g in kept]
+    base = brute_rank(rows)
+    return [g for g in generators if brute_rank(rows + [phi.vector(g)]) == base]
+
+
+def test_span_closure_matches_rank_oracle():
+    rng = random.Random(1313)
+    seen = 0
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        d = rng.randint(1, n - 1)
+        basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+        if brute_rank(basis) != d:
+            continue
+        seen += 1
+
+        def in_span():
+            weights = [rng.randint(-2, 2) for _ in range(d)]
+            return tuple(sum(w * row[t] for w, row in zip(weights, basis))
+                         for t in range(n))
+
+        images = {f"b{i}": tuple(row) for i, row in enumerate(basis)}
+        for i in range(rng.randint(0, 4)):
+            images[f"s{i}"] = in_span()
+        for i in range(rng.randint(1, 4)):
+            images[f"x{i}"] = tuple(rng.randint(-3, 3) for _ in range(n))
+        names = list(images)
+        rng.shuffle(names)
+        phi = AbelianMap(n, images)
+        kept = [g for g in names if g.startswith("b")]
+        kept += [g for g in names if g.startswith("s") and rng.random() < 0.5]
+        closure = _span_closure(phi, names, kept)
+        assert closure == brute_closure(phi, names, kept), (images, kept)
+        assert set(kept) <= set(closure)
+    assert seen >= 100
+
+
+def test_span_closure_of_nothing_and_of_everything():
+    phi = AbelianMap(3, {"a": (1, 0, 0), "b": (0, 2, 0), "z": (0, 0, 0),
+                         "c": (1, 1, 1), "h": (1, 0, 1)})
+    names = list(phi.images)
+    assert _span_closure(phi, names, []) == ["z"] == brute_closure(phi, names, [])
+    assert _span_closure(phi, names, ["a", "b", "c"]) == names
+    # h = c - b/2 lies in the rational span of b and c, not in their lattice.
+    assert _span_closure(phi, names, ["b", "c"]) == ["b", "z", "c", "h"]
 
 
 def test_report_bounds_values():
@@ -218,6 +299,19 @@ def test_cli_golden_pipeline_intro3(tmp_path, capsys):
     assert capsys.readouterr().out == GOLDEN_PIPELINE_INTRO3
 
 
+def test_cli_golden_pipeline_intro3_optimized(tmp_path):
+    # python -O drops every assert, so no reported check may rest on one.
+    path = tmp_path / "intro3.json"
+    path.write_text(dumps_presentation(standard_zn(3, "intro3")))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        zncomplex.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "zncomplex.cli", "pipeline", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == GOLDEN_PIPELINE_INTRO3
+
+
 # run_lower on the presentation of X_10 at both workload thresholds, captured
 # before the abelianization moved to sparse unit elimination: the images
 # change by a basis change of Z^n, which must not change the text.
@@ -269,6 +363,24 @@ def test_golden_run_lower_x10():
     pres = extract_presentation(build_x(10), 0)
     assert run_lower(pres, 24).render() == GOLDEN_LOWER_X10_C24
     assert run_lower(pres, Fraction(1, 8)).render() == GOLDEN_LOWER_X10_C1_8
+
+
+GOLDEN_UPPER_8 = (
+    "m = 8 (even), factorization size 8\n"
+    "block complex: 73 vertices, 909 faces\n"
+    "collapsed complex: 31 vertices, 825 faces\n"
+    "[pass] vertex count: 31 (expected 31)\n"
+    "[pass] every set is a spur: 14 spurs\n"
+    "[pass] spurs pairwise compatible\n"
+    "[pass] homology preserved by the collapses: betti [1, 8, 28], "
+    "torsion [(), (), ()]\n"
+    "[pass] first homology is Z^m: H1 = Z^8, torsion []\n"
+    "[pass] second homology is torsion-free of rank C(m,2): H2 = Z^28\n"
+)
+
+
+def test_golden_run_upper_8():
+    assert run_upper(8).render() == GOLDEN_UPPER_8
 
 
 @pytest.mark.parametrize("command, flag", [

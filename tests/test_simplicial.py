@@ -278,7 +278,7 @@ def test_collapse_spurs_checks_each_spur_in_its_quotient():
     assert is_spur(complex_, 0, {3, 4})
     with pytest.raises(SpurError) as excinfo:
         collapse_spurs(complex_, 0, [{1, 2}, {3, 4}])
-    assert excinfo.value.report.violations == (
+    assert excinfo.value.witness.violations == (
         "members 3, 4 share neighbor 1 besides 0",)
     with pytest.raises(SpurError):
         collapse_spurs(complex_, 0, [{3, 4}, {1, 2}])
