@@ -19,7 +19,19 @@ from .errors import (
 )
 
 
+# The largest m and factorization size the commands accept, so that a huge
+# value is rejected at once instead of starting an unbounded build.
+MAX_SIZE = 100
+
+
+def _require_range(name: str, value: int, low: int, high: int) -> None:
+    """A size outside low..high is a usage error (exit 2), before any work."""
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in {low}..{high}, got {value}")
+
+
 def _cmd_build_w(args) -> int:
+    _require_range("--n", args.n, 1, MAX_SIZE)
     complex_, labeling = construction.build_w(args.n)
     simplicial.write_scx(complex_, args.output)
     with open(args.output + ".labels", "w", encoding="utf-8") as fh:
@@ -31,6 +43,7 @@ def _cmd_build_w(args) -> int:
 
 
 def _cmd_build_x(args) -> int:
+    _require_range("--m", args.m, 1, MAX_SIZE)
     complex_ = construction.build_x(args.m)
     simplicial.write_scx(complex_, args.output)
     print(f"wrote {args.output}: {complex_.vertex_count} vertices")
@@ -74,6 +87,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_orth(args) -> int:
+    _require_range("--size", args.size, 2, MAX_SIZE)
     pair = factorization.orthogonal_pair(args.size)
     factorization.write_pair(pair, args.output)
     print(f"wrote {args.output}: orthogonal pair of size {args.size}")

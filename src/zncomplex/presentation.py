@@ -626,14 +626,20 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
     for member in collection:
         member_gens = [g for g in pres.generators if g in member]
         basis, _, _ = echelon([images[g] for g in member_gens])
-        assert len(basis) == 2, "critical set must span a rank-two lattice"
+        if len(basis) != 2:
+            raise SparsityError(
+                f"critical set {sorted(member)} spans a lattice of rank "
+                f"{len(basis)}, not two", witness=member)
         h1, h2, hstar = islice(fresh, 3)
         generators.extend((h1, h2, hstar))
         images[h1], images[h2] = basis
         images[hstar] = tuple(x + y for x, y in zip(*basis))
         for g in member_gens:
             coeffs = coordinates(images[g], basis)
-            assert coeffs is not None, "member image must lie in the lattice"
+            if coeffs is None:
+                raise SparsityError(
+                    f"the image of {g} is outside the lattice of its critical "
+                    f"set {sorted(member)}", witness=g)
             b1, b2 = coeffs
             added_relations.append(_clean_word(
                 ((g, -1), (h1, b1), (h2, b2))))
@@ -651,9 +657,12 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
     relations.extend(added_relations)
     out = Presentation(tuple(generators), tuple(relations))
     out_phi = AbelianMap(phi.rank, images)
-    assert len(out.relations) - len(out.generators) == \
-        len(partition.sparse) + len(partition.other) - len(pres.generators), \
-        "size identity violated"
+    gap = len(out.relations) - len(out.generators)
+    chain = len(partition.sparse) + len(partition.other) - len(pres.generators)
+    if gap != chain:
+        raise SparsityError(
+            f"size identity violated: |R|-|S| = {gap}, but |R_s|+|R_o|-|S| "
+            f"= {chain}", witness=(gap, chain))
     return ReplaceSparseResult(out, out_phi, tuple(relation_map),
                                tuple(collection))
 

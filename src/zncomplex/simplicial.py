@@ -9,13 +9,23 @@ mutable neighbor map of the quotient, checks each spur against it with the
 rules of is_spur, and compacts the ids and rewrites the faces once at the
 end.  collapse_spur is its one-spur case.
 
-Homology builds each boundary map once as sparse columns and reduces it once
+Every complex keeps one face index, built on first use: its faces bucketed
+by dimension, each bucket sorted once.  faces_of_dim, face_counts, dim and
+the boundary maps read it, so no pass sorts the face set again.
+
+Homology reduces each boundary map d_k once.  d_1, the signed incidence
+matrix of the graph, is totally unimodular, so its Smith form is read off a
+spanning forest.  d_k for k >= 2 is built once as sparse columns and reduced
 with intlinalg.sparse_snf; boundary_matrix is the dense rendering of the same
 map.
+
+compatible_spurs checks a whole spur collection for pairwise compatibility
+in one scan of the members' neighbors.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -35,21 +45,29 @@ class SimplicialComplex:
     faces: frozenset[Face]
     vertex_count: int
 
-    def faces_of_dim(self, k: int) -> list[Face]:
-        return sorted(f for f in self.faces if len(f) == k + 1)
+    def faces_of_dim(self, k: int) -> tuple[Face, ...]:
+        """The k-faces in lexicographic order; empty outside 0..dim."""
+        return self._by_dim[k] if 0 <= k < len(self._by_dim) else ()
 
     @property
     def dim(self) -> int:
-        return max((len(f) for f in self.faces), default=0) - 1
+        return len(self._by_dim) - 1
 
     def face_counts(self) -> list[int]:
-        counts = [0] * (self.dim + 1 if self.faces else 0)
-        for f in self.faces:
-            counts[len(f) - 1] += 1
-        return counts
+        return [len(faces) for faces in self._by_dim]
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self.faces
+    @cached_property
+    def _by_dim(self) -> tuple[tuple[Face, ...], ...]:
+        """The face index: the sorted k-faces at position k, for k = 0..dim.
+
+        Faces are bucketed by length and each bucket is sorted once per
+        complex.  A stored empty face is left out; validate reports it.
+        """
+        buckets: dict[int, list[Face]] = {}
+        for f in self.faces:
+            buckets.setdefault(len(f), []).append(f)
+        return tuple(tuple(sorted(buckets.get(size, ())))
+                     for size in range(1, max(buckets, default=0) + 1))
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adjacency.get(v, frozenset())
@@ -101,24 +119,32 @@ def maximal_faces(complex_: SimplicialComplex) -> list[Face]:
 
 
 def validate(complex_: SimplicialComplex) -> Report:
-    """Check the downward-closure, labeling and coverage invariants."""
-    violations: list[str] = []
+    """Check the downward-closure, labeling and coverage invariants.
+
+    The faces are scanned in set order; only the (face, message) records of
+    the violations are sorted, stably, so they come in face order and a
+    valid complex sorts nothing.
+    """
+    faces = complex_.faces
+    found: list[tuple[Face, str]] = []
     covered = set()
-    for f in sorted(complex_.faces):
+    for f in faces:
         if len(f) == 0:
-            violations.append("empty face stored")
+            found.append((f, "empty face stored"))
             continue
         if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
-            violations.append(f"face {f} is not strictly increasing")
+            found.append((f, f"face {f} is not strictly increasing"))
             continue
         if f[0] < 0 or f[-1] >= complex_.vertex_count:
-            violations.append(
-                f"face {f} uses a vertex outside 0..{complex_.vertex_count - 1}")
+            found.append((f, f"face {f} uses a vertex outside "
+                             f"0..{complex_.vertex_count - 1}"))
         covered.update(f)
         if len(f) > 1:
             for sub in combinations(f, len(f) - 1):
-                if sub not in complex_.faces:
-                    violations.append(f"missing subset {sub} of face {f}")
+                if sub not in faces:
+                    found.append((f, f"missing subset {sub} of face {f}"))
+    found.sort(key=lambda record: record[0])
+    violations = [message for _, message in found]
     for v in range(complex_.vertex_count):
         if v not in covered:
             violations.append(f"vertex {v} appears in no face")
@@ -176,7 +202,31 @@ class Homology:
 
 
 def _reduce_boundary(complex_: SimplicialComplex, k: int) -> SnfResult:
-    return sparse_snf(*_boundary_columns(complex_, k))
+    """The Smith form of d_k: d_1 from a spanning forest, the rest by sparse_snf.
+
+    d_1 is the signed incidence matrix of the graph of vertices and edges.
+    It is totally unimodular, so every nonzero invariant is 1, and its rank
+    is V minus the number of components: the edges of a spanning forest,
+    which union-find counts.
+    """
+    if k != 1:
+        return sparse_snf(*_boundary_columns(complex_, k))
+    vertices, edges = complex_.faces_of_dim(0), complex_.faces_of_dim(1)
+    root = list(range(complex_.vertex_count))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    rank = 0
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            rank += 1
+    zeros = min(len(vertices), len(edges)) - rank
+    return SnfResult((1,) * rank + (0,) * zeros, rank)
 
 
 def _homology(n_k: int, down: SnfResult, up: SnfResult) -> Homology:
@@ -250,25 +300,40 @@ def is_spur(complex_: SimplicialComplex, u: int,
     return Report.of(_spur_violations(complex_._adjacency, u, members))
 
 
-def are_compatible(complex_: SimplicialComplex, u: int, first: Iterable[int],
-                   second: Iterable[int]) -> bool:
-    """Disjointness plus at-most-one cross edge, for two spurs at u."""
-    first = set(first)
-    second = set(second)
-    for s in (first, second):
-        report = is_spur(complex_, u, s)
-        if not report:
-            raise SpurError(report)
-    return _compatible(complex_, first, second)
+def compatible_spurs(complex_: SimplicialComplex,
+                     spurs: Iterable[Iterable[int]]) -> Report:
+    """Are the vertex sets pairwise compatible: disjoint, at most one edge apart?
 
-
-def _compatible(complex_: SimplicialComplex, first: AbstractSet[int],
-                second: AbstractSet[int]) -> bool:
-    """are_compatible for two sets already known to be spurs."""
-    if first & second:
-        return False
-    cross = sum(1 for v in first for w in second if complex_.has_edge(v, w))
-    return cross <= 1
+    One owner map takes each member to the indices of the sets that hold
+    it, and one scan of the owned vertices' neighbors counts each cross edge
+    once, under its pair (k, l) with k < l.  A vertex with two owners makes
+    their pair fail, and so does a pair with two cross edges.  On failure
+    the one violation names the least failing pair, the first that a scan
+    of the pairs in order meets, and the witness is that pair.
+    """
+    owners: dict[int, list[int]] = {}
+    for k, spur in enumerate(spurs):
+        for v in set(spur):
+            owners.setdefault(v, []).append(k)
+    shared: dict[tuple[int, int], int] = {}
+    cross: Counter[tuple[int, int]] = Counter()
+    for v, ks in owners.items():
+        for pair in combinations(ks, 2):
+            shared[pair] = min(v, shared.get(pair, v))
+        for w in complex_.neighbors(v):
+            for l in owners.get(w, ()):
+                for k in ks:
+                    if k < l:
+                        cross[k, l] += 1
+    failing = set(shared) | {pair for pair, count in cross.items() if count > 1}
+    if not failing:
+        return Report(True)
+    k, l = pair = min(failing)
+    if pair in shared:
+        message = f"spurs {k} and {l} share vertex {shared[pair]}"
+    else:
+        message = f"spurs {k} and {l} are joined by {cross[pair]} edges"
+    return Report.of([message], pair)
 
 
 def collapse_spurs(complex_: SimplicialComplex, u: int,

@@ -14,6 +14,7 @@ from math import comb
 import pytest
 
 from abelian_oracle import exponent_matrix
+from spur_oracle import are_compatible
 from zncomplex.construction import build_spurs, build_w, build_x, torus_block
 from zncomplex.errors import UnsupportedSizeError
 from zncomplex.factorization import (
@@ -50,7 +51,6 @@ from zncomplex.sg import (
     sg_reduce,
 )
 from zncomplex.simplicial import (
-    are_compatible,
     collapse_spur,
     euler_characteristic,
     homology_through,

@@ -3,10 +3,12 @@
 import random
 import time
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from spur_oracle import are_compatible
 from zncomplex.construction import (
     build_spurs,
     build_w,
@@ -20,9 +22,9 @@ from zncomplex.factorization import orthogonal_pair
 from zncomplex.simplicial import (
     Homology,
     SimplicialComplex,
-    are_compatible,
     collapse_spur,
     collapse_spurs,
+    compatible_spurs,
     euler_characteristic,
     from_maximal_faces,
     homology_through,
@@ -158,6 +160,46 @@ def test_build_spurs_partition(parity, w_count):
         for j in range(i + 1, len(spurs)):
             assert are_compatible(complex_, spurs[i].base,
                                   spurs[i].members, spurs[j].members)
+
+
+@pytest.mark.parametrize("m", [7, 8, 12, 16])
+def test_compatible_spurs_matches_pairwise_oracle(m):
+    trace = build_x_trace(m)
+    complex_, u = trace.start, trace.labeling.u
+    spurs = [s.members for s in trace.spurs]
+    assert compatible_spurs(complex_, spurs)
+    assert all(are_compatible(complex_, u, a, b)
+               for a, b in combinations(spurs, 2))
+    # Small spurs among the paired vertices of the blocks on indices 1..5.
+    # Odd trials draw them freely, so they overlap.  Even trials draw each
+    # spur with its twin (w(i, j, 1) <-> w(i, j, 2)) and without overlap;
+    # a spur of two or more members and its twin are joined by that many
+    # edges.
+    rng = random.Random(m)
+    w = trace.labeling.w
+    pairs = list(combinations(range(1, 6), 2))
+    twin = {w[i, j, k]: w[i, j, 3 - k] for i, j in pairs for k in (1, 2)}
+    outcomes = Counter()
+    for trial in range(60):
+        collection = []
+        while len(collection) < 6:
+            free = [v for v in twin if trial % 2 or
+                    not any(v in spur for spur in collection)]
+            members = set(rng.sample(free, rng.randint(1, 3)))
+            drawn = [members] if trial % 2 else [members, {twin[v] for v in members}]
+            if all(is_spur(complex_, u, spur) for spur in drawn):
+                collection.extend(drawn)
+        first = next((pair for pair in combinations(range(len(collection)), 2)
+                      if not are_compatible(complex_, u, collection[pair[0]],
+                                            collection[pair[1]])), None)
+        report = compatible_spurs(complex_, collection)
+        assert report.ok == (first is None)
+        assert report.witness == first
+        if report:
+            outcomes["ok"] += 1
+        else:
+            outcomes["share" if "share" in report.violations[0] else "joined"] += 1
+    assert set(outcomes) == {"ok", "share", "joined"}, outcomes
 
 
 def test_build_spurs_size_mismatch():

@@ -1,5 +1,6 @@
 """End-to-end drivers and the command line."""
 
+import dataclasses
 import json
 import os
 import random
@@ -34,6 +35,20 @@ def test_run_upper(m):
     report = run_upper(m)
     assert report.ok, report.render()
     assert f"m = {m}" in report.render()
+
+
+def test_run_upper_names_the_first_incompatible_pair(monkeypatch):
+    assert "[pass] spurs pairwise compatible\n" in run_upper(8).render()
+    trace = zncomplex.construction.build_x_trace(8)
+    spurs = list(trace.spurs)
+    spurs[3] = spurs[1]  # the same spur twice: spurs 1 and 3 overlap
+    shared = min(spurs[1].members)
+    monkeypatch.setattr(zncomplex.pipeline, "build_x_trace",
+                        lambda m: dataclasses.replace(trace, spurs=spurs))
+    report = run_upper(8)
+    assert not report.ok
+    assert (f"[FAIL] spurs pairwise compatible: spurs 1 and 3 share vertex "
+            f"{shared}\n") in report.render()
 
 
 def test_run_lower_intro():
@@ -162,6 +177,25 @@ def test_cli_build_verify_homology(tmp_path):
 
 def test_cli_build_x_excluded_size(tmp_path):
     assert main(["build-x", "--m", "4", "-o", str(tmp_path / "x.scx")]) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["build-x", "--m", "0"], "--m must be in 1..100, got 0"),
+    (["build-x", "--m", "101"], "--m must be in 1..100, got 101"),
+    (["build-x", "--m", "1000000000"], "--m must be in 1..100, got 1000000000"),
+    (["build-w", "--n", "0"], "--n must be in 1..100, got 0"),
+    (["build-w", "--n", "1000000000"], "--n must be in 1..100, got 1000000000"),
+    (["orth", "--size", "0"], "--size must be in 2..100, got 0"),
+    (["orth", "--size", "102"], "--size must be in 2..100, got 102"),
+    (["orth", "--size", "1000000000"], "--size must be in 2..100, got 1000000000"),
+])
+def test_cli_size_limits_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_build_w_emits_labels(tmp_path):

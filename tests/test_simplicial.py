@@ -3,16 +3,22 @@
 import gc
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 
 from lattice_oracle import brute_rank, smith_diagonal
+from spur_oracle import are_compatible
 from zncomplex.errors import ScxFormatError, SpurError
+from zncomplex.intlinalg import SnfResult, sparse_snf
+from zncomplex.report import Report
 from zncomplex.simplicial import (
     Homology,
     SimplicialComplex,
-    are_compatible,
+    _boundary_columns,
+    _reduce_boundary,
     boundary_matrix,
+    compatible_spurs,
     collapse_spur,
     collapse_spurs,
     dumps_scx,
@@ -48,6 +54,44 @@ def test_validate_vertex_coverage_and_labels():
     assert any("vertex 1" in v for v in report.violations)
     report = validate(SimplicialComplex(frozenset({(1, 0)}), 2))
     assert any("not strictly increasing" in v for v in report.violations)
+
+
+def test_validate_golden_violations():
+    # Pinned before validate stopped sorting every face: the violations of a
+    # complex that breaks each rule, in several dimensions, in face order.
+    faces = frozenset([
+        (), (2, 1), (0,), (1,), (2,), (3,), (-1,), (0, 7), (7,),
+        (0, 1), (0, 2), (0, 1, 2), (1, 3), (0, 1, 2, 3), (0, 3), (1, 2, 3),
+        (5, 6), (5,), (0, 1, 3),
+    ])
+    report = validate(SimplicialComplex(faces, 6))
+    assert not report
+    assert list(report.violations) == [
+        "empty face stored",
+        "face (-1,) uses a vertex outside 0..5",
+        "missing subset (1, 2) of face (0, 1, 2)",
+        "missing subset (0, 2, 3) of face (0, 1, 2, 3)",
+        "face (0, 7) uses a vertex outside 0..5",
+        "missing subset (1, 2) of face (1, 2, 3)",
+        "missing subset (2, 3) of face (1, 2, 3)",
+        "face (2, 1) is not strictly increasing",
+        "face (5, 6) uses a vertex outside 0..5",
+        "missing subset (6,) of face (5, 6)",
+        "face (7,) uses a vertex outside 0..5",
+        "vertex 4 appears in no face",
+    ]
+
+
+def test_face_index():
+    complex_ = from_maximal_faces([(1, 2, 3), (0, 3), (0, 4)])
+    assert complex_.faces_of_dim(0) == ((0,), (1,), (2,), (3,), (4,))
+    assert complex_.faces_of_dim(1) == ((0, 3), (0, 4), (1, 2), (1, 3), (2, 3))
+    assert complex_.faces_of_dim(2) == ((1, 2, 3),)
+    assert complex_.faces_of_dim(3) == complex_.faces_of_dim(-1) == ()
+    assert complex_.dim == 2
+    assert complex_.face_counts() == [5, 5, 1]
+    empty = SimplicialComplex(frozenset(), 0)
+    assert (empty.dim, empty.face_counts(), empty.faces_of_dim(0)) == (-1, [], ())
 
 
 def test_closure_constructor():
@@ -125,6 +169,44 @@ def test_homology_klein_bottle_torsion():
     assert euler_characteristic(klein) == 0
     assert homology_through(klein, 2) == [
         Homology(1), Homology(1, (2,)), Homology(0)]
+
+
+def rp2_complex():
+    # Minimal 6-vertex triangulation of the real projective plane.
+    return from_maximal_faces(
+        [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5), (0, 4, 5),
+         (1, 2, 4), (1, 2, 5), (1, 3, 5), (2, 3, 4), (3, 4, 5)])
+
+
+def test_homology_through_keeps_the_torsion_of_d2():
+    assert homology_through(rp2_complex(), 2) == [
+        Homology(1), Homology(0, (2,)), Homology(0)]
+    assert _reduce_boundary(rp2_complex(), 2) == SnfResult(
+        (1,) * 9 + (2,), 10)
+
+
+def random_graph(rng):
+    """A graph on 0..n-1 as a complex: isolated vertices, often disconnected."""
+    n = rng.randint(0, 12)
+    p = rng.choice((0.0, 0.1, 0.25, 0.5, 0.9))
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    return from_maximal_faces([(v,) for v in range(n)] + edges, vertex_count=n)
+
+
+def test_d1_spanning_forest_matches_sparse_snf():
+    rng = random.Random(21091)
+    complexes = [SimplicialComplex(frozenset(), 0),
+                 from_maximal_faces([(0,), (1,), (2,)]), rp2_complex()]
+    complexes += [random_graph(rng) for _ in range(300)]
+    complexes += [random_complex(rng) for _ in range(100)]
+    shapes = set()
+    for complex_ in complexes:
+        expected = sparse_snf(*_boundary_columns(complex_, 1))
+        assert _reduce_boundary(complex_, 1) == expected
+        vertices = complex_.face_counts()[0] if complex_.faces else 0
+        shapes.add((expected.rank == 0, expected.rank < vertices - 1))
+    # No edges, connected graphs and disconnected graphs with edges all occur.
+    assert {(True, True), (False, False), (False, True)} <= shapes
 
 
 def reference_homology(complex_, k):
@@ -234,6 +316,31 @@ def test_are_compatible():
     with pytest.raises(SpurError):
         are_compatible(from_maximal_faces([(0, 1), (1, 2), (0, 2)]),
                        0, {1, 2}, {1})
+
+
+def test_compatible_spurs_negative_controls():
+    star = from_maximal_faces([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
+    assert compatible_spurs(star, [{1, 2}, {3, 4}, {5}]) == Report(True)
+    overlap = compatible_spurs(star, [{1, 2}, {3, 4}, {2, 5}])
+    assert not overlap
+    assert overlap.violations == ("spurs 0 and 2 share vertex 2",)
+    assert overlap.witness == (0, 2)
+    crossed = from_maximal_faces(
+        [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (2, 4), (3, 5)])
+    report = compatible_spurs(crossed, [{1, 2}, {5}, {3, 4}])
+    assert not report
+    assert report.violations == ("spurs 0 and 2 are joined by 2 edges",)
+    assert report.witness == (0, 2)
+    # One cross edge is allowed.
+    assert compatible_spurs(crossed, [{1}, {3, 4}])
+
+
+def test_compatible_spurs_names_the_least_failing_pair():
+    # Pairs (1, 2) and (0, 3) fail; a pairwise scan in order meets (0, 3) first.
+    star = from_maximal_faces([(0, v) for v in range(1, 8)])
+    report = compatible_spurs(star, [{1}, {2, 5}, {3, 5}, {1, 4}, {6, 7}])
+    assert report.witness == (0, 3)
+    assert report.violations == ("spurs 0 and 3 share vertex 1",)
 
 
 def test_collapse_singleton_is_relabel():

@@ -516,6 +516,39 @@ def test_replace_sparse_rejects_bad_partitions():
         replace_sparse(triple, phi3, SparsityPartition((0,), (1,), (2,)))
 
 
+def test_replace_sparse_guards_raise_sparsity_errors(monkeypatch):
+    # No partition or map reaches these three guards: each critical set
+    # spans a rank-two lattice, echelon's basis spans every member image, and
+    # the size identity follows from the critical sets being tight.  Each is
+    # forced here by breaking the step it guards.  They are raises, not
+    # asserts, so they hold under python -O as well.
+    pres = standard_zn(2, "intro3")
+    phi = abelian_images(pres)
+    partition = SparsityPartition((0, 1), (), ())
+    member = frozenset(pres.generators)
+    echelon = presentation.echelon
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation, "echelon",
+                      lambda rows: (echelon(rows)[0][:1], None, None))
+        with pytest.raises(SparsityError, match="rank 1, not two") as info:
+            replace_sparse(pres, phi, partition)
+    assert info.value.witness == member
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation, "coordinates", lambda vector, basis: None)
+        with pytest.raises(SparsityError, match="outside the lattice") as info:
+            replace_sparse(pres, phi, partition)
+    assert info.value.witness == pres.generators[0]
+    triple = Presentation(("a", "b", "c"), ((("a", 1), ("b", 1), ("c", 1)),))
+    with monkeypatch.context() as patch:
+        # {a, b, c} holds one relation, not two: it is not critical.
+        patch.setattr(presentation, "critical_collection",
+                      lambda pres, phi, idx: [frozenset("abc")])
+        with pytest.raises(SparsityError, match="size identity") as info:
+            replace_sparse(triple, abelian_images(triple),
+                           SparsityPartition((0,), (), ()))
+    assert info.value.witness == (-1, -2)
+
+
 def test_replace_subspace_examples():
     pres = standard_zn(2, "commutator")
     phi = abelian_images(pres)
