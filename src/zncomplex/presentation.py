@@ -154,16 +154,12 @@ def extract_presentation(complex_: SimplicialComplex, basepoint: int) -> Present
     require_valid(complex_)
     if not 0 <= basepoint < complex_.vertex_count:
         raise ValueError(f"unknown basepoint {basepoint}")
-    adjacency: dict[int, list[int]] = {}
-    for a, b in complex_.faces_of_dim(1):
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
     component = {basepoint}
     tree: set[tuple[int, int]] = set()
     queue = deque([basepoint])
     while queue:
         v = queue.popleft()
-        for w in sorted(adjacency.get(v, ())):
+        for w in sorted(complex_.neighbors(v)):
             if w not in component:
                 component.add(w)
                 tree.add(tuple(sorted((v, w))))
@@ -545,10 +541,13 @@ def critical_collection(pres: Presentation, phi: AbelianMap,
     that the plane's pebble game reports as components.  Within a plane
     they are disjoint, and together they cover every critical set.  A
     relation set that is not sparse raises SparsityError with the first
-    failing plane's witness.
+    failing plane's witness.  Before any plane is keyed, every relation of
+    pres must have a nonempty normal form of at most three syllables.
     """
-    planes = relation_planes(pres, phi, rel_indices)
     supports = relation_supports(pres)
+    if any(not s for s in supports):
+        raise SparsityError("empty-normal-form relations must be stripped first")
+    planes = relation_planes(pres, phi, rel_indices)
     collection: list[frozenset[str]] = []
     for key in sorted(planes):
         game = PebbleGame()
@@ -559,8 +558,6 @@ def critical_collection(pres: Presentation, phi: AbelianMap,
                     f"relation set is not sparse on {sorted(witness)}",
                     witness=witness)
         collection.extend(s for s in game.components() if len(s) >= 3)
-    if any(not s for s in supports):
-        raise SparsityError("empty-normal-form relations must be stripped first")
     return sorted(collection, key=lambda s: tuple(sorted(s)))
 
 
@@ -575,7 +572,7 @@ class SparsityPartition:
     def check_covers(self, total: int) -> None:
         parts = [self.sparse, self.extra, self.other]
         combined = [i for part in parts for i in part]
-        if sorted(combined) != list(range(total)) or len(set(combined)) != len(combined):
+        if sorted(combined) != list(range(total)):
             raise ValueError("partition must split the relation indices exactly")
 
 
@@ -597,30 +594,28 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
     intlinalg.coordinates gives each member g its (b1, b2) with phi(g) =
     b1 phi(h1) + b2 phi(h2).  A third generator h* enters too, with the
     relations g^-1 h1^b1 h2^b2 (one per g in S''), h*^-1 h1 h2 and
-    h*^-1 h2 h1, and every relation supported inside S'' leaves.  The new
-    names t<k> come from one counter.  The bookkeeping identity |R_new| -
-    |S_new| = |R_sparse| + |R_other| - |S| holds exactly; extra-class
-    relations must sit inside some critical set and other-class relations
-    must sit inside none.
+    h*^-1 h2 h1.  The new names t<k> come from one counter.  One pass
+    decides which relations lie inside some critical set: every
+    extra-class relation must, no other-class relation may, and exactly
+    those leave.  critical_collection checks the supports.  The identity
+    |R_new| - |S_new| = |R_sparse| + |R_other| - |S| holds exactly.
     """
     partition.check_covers(len(pres.relations))
-    supports = relation_supports(pres)
-    if any(not s for s in supports):
-        raise SparsityError("empty-normal-form relations must be stripped first")
     collection = critical_collection(pres, phi, partition.sparse)
+    inside = {i for i in range(len(pres.relations))
+              if any(map(pres.support(i).__le__, collection))}
     for idx in partition.extra:
-        if not any(supports[idx] <= member for member in collection):
+        if idx not in inside:
             raise SparsityError(
                 f"extra relation {idx} lies in no critical set of the sparse class",
                 witness=idx)
     for idx in partition.other:
-        if any(supports[idx] <= member for member in collection):
+        if idx in inside:
             raise SparsityError(
                 f"other-class relation {idx} lies inside a critical set, "
                 f"which the accounting forbids", witness=idx)
     generators = list(pres.generators)
     images = dict(phi.images)
-    removed: set[int] = set()
     added_relations: list[Word] = []
     fresh = _fresh_names(pres.generators)
     for member in collection:
@@ -645,11 +640,10 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
                 ((g, -1), (h1, b1), (h2, b2))))
         added_relations.append(word((hstar, -1), (h1, 1), (h2, 1)))
         added_relations.append(word((hstar, -1), (h2, 1), (h1, 1)))
-        removed.update(i for i, s in enumerate(supports) if s <= member)
     relations = []
     relation_map: list[int | None] = []
     for idx, rel in enumerate(pres.relations):
-        if idx in removed:
+        if idx in inside:
             relation_map.append(None)
         else:
             relation_map.append(len(relations))

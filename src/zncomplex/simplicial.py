@@ -13,11 +13,11 @@ Every complex keeps one face index, built on first use: its faces bucketed
 by dimension, each bucket sorted once.  faces_of_dim, face_counts, dim and
 the boundary maps read it, so no pass sorts the face set again.
 
-Homology reduces each boundary map d_k once.  d_1, the signed incidence
-matrix of the graph, is totally unimodular, so its Smith form is read off a
-spanning forest.  d_k for k >= 2 is built once as sparse columns and reduced
-with intlinalg.sparse_snf; boundary_matrix is the dense rendering of the same
-map.
+homology_through reduces each boundary map d_k once; homology(k) is its last
+entry.  d_1, the signed incidence matrix of the graph, is totally unimodular,
+so its Smith form is read off a spanning forest.  d_k for k >= 2 is built
+once as sparse columns and reduced with intlinalg.sparse_snf; boundary_matrix
+is the dense rendering of the same map.
 
 compatible_spurs checks a whole spur collection for pairwise compatibility
 in one scan of the members' neighbors.
@@ -229,28 +229,26 @@ def _reduce_boundary(complex_: SimplicialComplex, k: int) -> SnfResult:
     return SnfResult((1,) * rank + (0,) * zeros, rank)
 
 
-def _homology(n_k: int, down: SnfResult, up: SnfResult) -> Homology:
-    """H_k from the count of k-faces and the Smith forms of d_k and d_k+1."""
-    return Homology(n_k - down.rank - up.rank, up.torsion)
-
-
 def homology(complex_: SimplicialComplex, k: int) -> Homology:
-    """H_k with integer coefficients, as (betti, torsion coefficients)."""
+    """H_k with integer coefficients, as (betti, torsion coefficients).
+
+    H_k is 0 above dim, like H_dim+1, so k is capped at dim + 1.
+    """
     if k < 0:
         raise ValueError("homology degree must be non-negative")
-    require_valid(complex_)
-    return _homology(len(complex_.faces_of_dim(k)),
-                     _reduce_boundary(complex_, k),
-                     _reduce_boundary(complex_, k + 1))
+    return homology_through(complex_, min(k, complex_.dim + 1))[-1]
 
 
 def homology_through(complex_: SimplicialComplex, top: int) -> list[Homology]:
-    """H_0 .. H_top, reducing each boundary map d_0 .. d_top+1 once."""
+    """H_0 .. H_top, reducing each boundary map d_0 .. d_top+1 once.
+
+    H_k has betti number (k-faces) - rank d_k - rank d_k+1 and the torsion
+    of d_k+1.  homology(k) is the last entry of this list.
+    """
     require_valid(complex_)
-    counts = complex_.face_counts()
     reduced = [_reduce_boundary(complex_, k) for k in range(top + 2)]
-    return [_homology(counts[k] if k < len(counts) else 0,
-                      reduced[k], reduced[k + 1])
+    return [Homology(len(complex_.faces_of_dim(k)) - reduced[k].rank
+                     - reduced[k + 1].rank, reduced[k + 1].torsion)
             for k in range(top + 1)]
 
 
@@ -431,6 +429,8 @@ def loads_scx(text: str) -> SimplicialComplex:
         vertex_count = int(lines[1][2:])
     except ValueError as exc:
         raise ScxFormatError(f"bad vertex count: {lines[1]!r}") from exc
+    if vertex_count < 0:
+        raise ScxFormatError(f"negative vertex count: {lines[1]!r}")
     maximal = []
     for line in lines[2:]:
         line = line.strip()

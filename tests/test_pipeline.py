@@ -1,7 +1,9 @@
 """End-to-end drivers and the command line."""
 
 import dataclasses
+import hashlib
 import json
+import time
 import os
 import random
 import subprocess
@@ -85,6 +87,42 @@ def test_run_lower_rejects_long_relations():
     assert info.value.witness == (("g1", 1), ("g2", 1), ("g1", -1), ("g2", -1))
 
 
+def test_run_lower_other_relation_inside_a_critical_set(monkeypatch):
+    # Relations 0 and 1 make {a, b, c} critical and relation 2 repeats 0.
+    # Forcing relation 2 into the other class puts it inside that critical
+    # set; replace_sparse rejects it before anything maps it to None.
+    pres = Presentation(("a", "b", "c"), (
+        (("a", 1), ("b", 1), ("c", 1)),
+        (("b", 1), ("a", 1), ("c", 1)),
+        (("a", 1), ("b", 1), ("c", 1))))
+    assert run_lower(pres).ok
+    monkeypatch.setattr(zncomplex.pipeline, "relations_on",
+                        lambda pres, indices, generators: [2])
+    with pytest.raises(PipelineStageError) as info:
+        run_lower(pres)
+    assert info.value.stage == "replace-sparse"
+    assert info.value.witness == 2
+    assert "other-class relation 2 lies inside a critical set" in str(info.value)
+
+
+# SHA-256 of run_lower(extract_presentation(build_x(m), 0), c).render().
+RUN_LOWER_RENDER_SHA256 = {
+    (24, 10): "dd27fd7463a22fea0ded4a92a07a824aec4fa671db8bf97089614295e6add83e",
+    (24, 12): "52c701a468d9384a209a8b79ef85db1e57036399427afc80f71f4a37aaf05da6",
+    (24, 28): "d99325ef0d271b5ee7eb9cf14cb31b6197eb67b27816df341a4540b6e0f4ad68",
+    (24, 48): "4bec0b70132efa9588438d20d476bc2fd7b59a25c627662c266c5b6898387824",
+    ("1/8", 10): "24058a942047022ae50caa5409daced7236d0fbcc7bc03dbeb77efb525ee2b33",
+    ("1/8", 12): "a01d3b2be88efd949e2a60e24a5188b6636adaf6b9f22ec929e1c009cf460563",
+    ("1/8", 28): "8e9b0067a49f1b7ed3c0baea4c890d61eb50c5445dedc68d79b85f24d9a340b6",
+}
+
+
+@pytest.mark.parametrize("c, m", list(RUN_LOWER_RENDER_SHA256))
+def test_run_lower_render_is_pinned(c, m):
+    text = run_lower(extract_presentation(build_x(m), 0), Fraction(c)).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == RUN_LOWER_RENDER_SHA256[c, m]
+
+
 def test_every_toolkit_error_exposes_witness():
     report = Report.of(["bad"], witness=7)
     made = {
@@ -163,6 +201,27 @@ def test_report_bounds_values():
     assert "C(k,2) >= C(n,2) : 100" in text100
     text1 = report_bounds(1)
     assert "C(k,3) >= C(n,2) : 1" in text1
+
+
+def test_report_bounds_matches_a_linear_search(monkeypatch):
+    fast = [report_bounds(n) for n in range(1, 2001)]
+
+    def linear(predicate):
+        k = 1
+        while not predicate(k):
+            k += 1
+        return k
+
+    monkeypatch.setattr(zncomplex.pipeline, "smallest_k", linear)
+    assert fast == [report_bounds(n) for n in range(1, 2001)]
+
+
+def test_report_bounds_finishes_for_a_huge_n(capsys):
+    start = time.perf_counter()
+    assert main(["bounds", "--n", str(10 ** 18)]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert f"smallest k with C(k,2) >= C(n,2) : {10 ** 18} " in out
 
 
 def test_cli_build_verify_homology(tmp_path):

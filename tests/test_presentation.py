@@ -130,6 +130,26 @@ def test_extract_uses_component_of_basepoint():
     assert len(pres_b.generators) == 0
 
 
+def test_extract_from_an_isolated_basepoint():
+    lonely = from_maximal_faces([(0, 1, 2), (3,)])
+    assert extract_presentation(lonely, 3) == Presentation((), ())
+
+
+# SHA-256 of dumps_presentation(extract_presentation(build_x(m), 0)).
+EXTRACT_DUMP_SHA256 = {
+    7: "bb00c5e76332bc17c113341435b7811c720674642291473ddea4eb792b8adfb1",
+    10: "1a223ed8851c5988d46411d4c0184c8e362409a9d801f4bcfe1bcb1d55bff88b",
+    12: "86b9c76d13d97a1715c3a65d6fde419b71a8ec2ce3d5111195a8f8dba51a5e36",
+    28: "9e20e14c06b2976f937e2ee142b5f660aef871b881f280dd0748b12de9788a14",
+}
+
+
+@pytest.mark.parametrize("m", list(EXTRACT_DUMP_SHA256))
+def test_extract_x_is_pinned(m):
+    text = dumps_presentation(extract_presentation(build_x(m), 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXTRACT_DUMP_SHA256[m]
+
+
 def test_abelian_images_standard():
     phi = abelian_images(standard_zn(3, "commutator"))
     assert phi.rank == 3

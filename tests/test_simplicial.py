@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 import weakref
 from itertools import combinations
 
@@ -9,7 +10,8 @@ import pytest
 
 from lattice_oracle import brute_rank, smith_diagonal
 from spur_oracle import are_compatible
-from zncomplex.errors import ScxFormatError, SpurError
+from zncomplex.cli import main
+from zncomplex.errors import InvalidComplexError, ScxFormatError, SpurError
 from zncomplex.intlinalg import SnfResult, sparse_snf
 from zncomplex.report import Report
 from zncomplex.simplicial import (
@@ -230,6 +232,29 @@ def test_homology_euler_consistency_random():
         assert hs == [homology(complex_, k) for k in range(complex_.dim + 1)]
 
 
+def test_homology_above_the_dimension_is_zero_and_instant(tmp_path, capsys):
+    rp2 = rp2_complex()
+    start = time.perf_counter()
+    for k in (3, 4, 10 ** 9):
+        assert homology(rp2, k) == Homology(0)
+    path = tmp_path / "rp2.scx"
+    path.write_text(dumps_scx(rp2))
+    assert main(["homology", str(path), "--dim", str(10 ** 9)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == f"H_{10 ** 9} = Z^0\n"
+    empty = SimplicialComplex(frozenset(), 0)
+    assert [homology(empty, k) for k in (0, 1, 10 ** 9)] == [Homology(0)] * 3
+    with pytest.raises(ValueError, match="non-negative"):
+        homology(rp2, -1)
+
+
+def test_homology_of_an_invalid_complex_raises():
+    broken = SimplicialComplex(frozenset({(0,), (0, 1)}), 2)  # (1,) missing
+    for k in (0, 1, 2, 10 ** 9):
+        with pytest.raises(InvalidComplexError):
+            homology(broken, k)
+
+
 def test_scx_round_trip():
     complex_ = from_maximal_faces([(0, 1, 2), (2, 3), (3,)], vertex_count=4)
     text = dumps_scx(complex_)
@@ -246,6 +271,17 @@ def test_scx_rejects_garbage():
         loads_scx("scx 1\nv x\n")
     with pytest.raises(ScxFormatError):
         loads_scx("scx 1\nv 3\n2 1\n")
+    with pytest.raises(ScxFormatError, match="negative vertex count"):
+        loads_scx("scx 1\nv -3\n0 1 2\n")
+
+
+def test_cli_negative_vertex_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "negative.scx"
+    path.write_text("scx 1\nv -3\n0 1 2\n")
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: negative vertex count: 'v -3'\n"
 
 
 def test_maximal_faces():

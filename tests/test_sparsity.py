@@ -3,12 +3,14 @@
 import random
 import time
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
 from abelian_oracle import exponent_matrix
 from lattice_oracle import brute_rank
 from zncomplex import presentation
+from zncomplex.construction import build_x
 from zncomplex.errors import SparsityError, TooLongError
 from zncomplex.presentation import (
     AbelianMap,
@@ -16,8 +18,10 @@ from zncomplex.presentation import (
     SparsityPartition,
     abelian_images,
     critical_collection,
+    extract_presentation,
     is_sparse,
     maximal_sparse_subset,
+    minimize,
     normalize,
     relation_planes,
     replace_sparse,
@@ -547,6 +551,122 @@ def test_replace_sparse_guards_raise_sparsity_errors(monkeypatch):
             replace_sparse(triple, abelian_images(triple),
                            SparsityPartition((0,), (), ()))
     assert info.value.witness == (-1, -2)
+
+
+def test_empty_relation_is_rejected_before_any_plane():
+    # An empty relation in the sparse class would otherwise be keyed as a
+    # plane and rejected for its dimension 0; the support guard comes first.
+    pres = Presentation(("a", "b", "c"), (
+        (("a", 1), ("b", 1), ("c", 1)), (("a", 1), ("a", -1))))
+    phi = abelian_images(pres)
+    message = "empty-normal-form relations must be stripped first"
+    for call in (lambda: critical_collection(pres, phi, [0, 1]),
+                 lambda: critical_collection(pres, phi, [0]),
+                 lambda: replace_sparse(pres, phi, SparsityPartition((0, 1), (), ())),
+                 lambda: replace_sparse(pres, phi, SparsityPartition((0,), (), (1,)))):
+        with pytest.raises(SparsityError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def plane_cramer_triple(images, triple):
+    """The relation a^x b^y c^z of three plane images with x u + y v + z w = 0.
+
+    images maps each name to (plane basis, 2D coordinates); Cramer's rule on
+    the coordinates gives the dependency, nonzero for distinct directions.
+    """
+    (_, u), (_, v), (_, w) = (images[g] for g in triple)
+    x = v[0] * w[1] - v[1] * w[0]
+    y = w[0] * u[1] - w[1] * u[0]
+    z = u[0] * v[1] - u[1] * v[0]
+    divisor = gcd(gcd(x, y), z)
+    return tuple(zip(triple, (x // divisor, y // divisor, z // divisor)))
+
+
+def multi_plane_case(rng):
+    """Generators in three planes of Z^4, two of which share the generator s.
+
+    Each plane gets 3..6 generators of distinct directions and random
+    triples among them, a quarter of them repeats.  s has image e1 and
+    coordinates (1, 0) in both planes whose first basis vector is e1, so
+    relations, and critical sets, of both planes can hold it.
+    """
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    images, relations = {"s": ((e[0], e[1]), (1, 0))}, []
+    for basis in ((e[0], e[1]), (e[0], e[2]), (e[2], e[3])):
+        shared = basis[0] == e[0]
+        directions, count = {(1, 0)} if shared else set(), rng.randint(3, 6)
+        while len(directions) < count:
+            x, y = rng.randint(-3, 3), rng.randint(1, 3)
+            directions.add((x, y) if gcd(x, y) == 1 else (1, 0))
+        names = []
+        for x, y in sorted(directions):
+            if shared and (x, y) == (1, 0):
+                names.append("s")
+                continue
+            name = f"p{len(images)}"
+            scale = rng.randint(1, 2)
+            images[name] = (basis, (scale * x, scale * y))
+            names.append(name)
+        plane_relations = []
+        for _ in range(rng.randint(len(names) - 2, len(names) + 2)):
+            if plane_relations and rng.random() < 0.25:
+                plane_relations.append(rng.choice(plane_relations))
+            else:
+                triple = sorted(rng.sample(names, 3))
+                plane_relations.append(plane_cramer_triple(images, triple))
+        relations += plane_relations
+    rng.shuffle(relations)
+    phi = AbelianMap(4, {g: tuple(x * p + y * q for p, q in zip(*basis))
+                         for g, (basis, (x, y)) in images.items()})
+    return Presentation(tuple(images), tuple(relations)), phi
+
+
+def minimized_extract(m):
+    pres = extract_presentation(build_x(m), 0)
+    return minimize(pres, abelian_images(pres))
+
+
+def test_replace_sparse_drops_exactly_the_relations_inside_a_critical_set():
+    rng = random.Random(8128)
+    cases = [multi_plane_case(rng) for _ in range(60)]
+    cases += [minimized_extract(m) for m in (7, 8)]
+    outcomes = {"dropped": 0, "kept": 0, "extra": 0, "other": 0, "overlapping": 0}
+    for pres, phi in cases:
+        supports = [normalize(rel).support for rel in pres.relations]
+        maximal = maximal_sparse_subset(pres, phi)
+        subsets = [maximal] + [tuple(i for i in maximal if rng.random() < 0.8)
+                               for _ in range(3)]
+        for sparse in subsets:
+            collection = enumerated_critical_collection(pres, phi, sparse)
+            inside = {i for i, s in enumerate(supports)
+                      if any(s <= member for member in collection)}
+            rest = [i for i in range(len(pres.relations)) if i not in sparse]
+            natural = ([i for i in rest if i in inside],
+                       [i for i in rest if i not in inside])
+            shuffled = ([], [])
+            for i in rest:
+                shuffled[rng.random() < 0.5].append(i)
+            for extra, other in (natural, shuffled):
+                partition = SparsityPartition(sparse, tuple(extra), tuple(other))
+                outside = [i for i in extra if i not in inside]
+                trapped = [i for i in other if i in inside]
+                if outside or trapped:
+                    kind, idx = ("extra", outside[0]) if outside else ("other", trapped[0])
+                    with pytest.raises(SparsityError, match=f"^{kind}") as info:
+                        replace_sparse(pres, phi, partition)
+                    assert info.value.witness == idx
+                    outcomes[kind] += 1
+                    continue
+                result = replace_sparse(pres, phi, partition)
+                assert list(result.collection) == collection
+                dropped = {i for i, j in enumerate(result.relation_map) if j is None}
+                assert dropped == inside
+                outcomes["dropped"] += len(dropped)
+                outcomes["kept"] += len(pres.relations) - len(dropped)
+                outcomes["overlapping"] += any(
+                    a & b for a, b in combinations(collection, 2))
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_replace_subspace_examples():
