@@ -13,6 +13,10 @@ Modules:
 - report: Report, the ok/violations/witness result of every check
 - pipeline: end-to-end drivers and their run records
 - errors: the exception types; cli: the zncomplex command
+
+The library computes what the command line and the pipelines read;
+tests/test_library_surface.py lists, with reasons, the few public names
+that no library code calls.
 """
 
 from .construction import build_w, build_spurs, build_x, torus_block
@@ -40,7 +44,6 @@ from .simplicial import (
     SimplicialComplex,
     collapse_spur,
     collapse_spurs,
-    euler_characteristic,
     homology,
     is_spur,
     validate,
@@ -60,7 +63,6 @@ __all__ = [
     "build_x",
     "collapse_spur",
     "collapse_spurs",
-    "euler_characteristic",
     "extract_presentation",
     "homology",
     "is_delta_sg",

@@ -12,9 +12,11 @@ from fractions import Fraction
 
 from . import construction, factorization, pipeline, presentation, sg, simplicial
 from .errors import (
+    NotFreeAbelianError,
     PipelineStageError,
     SgHypothesisError,
     SparsityError,
+    TooLongError,
     ZnComplexError,
 )
 
@@ -217,7 +219,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineStageError, SgHypothesisError, SparsityError) as exc:
+    except (NotFreeAbelianError, PipelineStageError, SgHypothesisError,
+            SparsityError, TooLongError) as exc:
         print(f"check failed: {exc}")
         return 1
     except (OSError, ValueError, ZnComplexError) as exc:

@@ -197,9 +197,10 @@ def orthogonal_pair(size: int) -> OrthogonalPair:
     round-robin one.  Its mate is the same factorization for size 2 (the
     pair is vacuously orthogonal), a stored factorization for size 10, and
     otherwise the development of a strong starter in Z_{size-1}.  Every
-    even size from 2 to 48 except 4 and 6 is covered.  The pair is checked
-    once before it is returned; a failure raises PipelineStageError with
-    the witness.
+    even size from 2 to 48 except 4 and 6 is covered.  Each half is
+    validated, then the pair is checked, once each, before it is returned.
+    A failure raises PipelineStageError; it names a half that is not a
+    1-factorization, with the violations as the witness.
     """
     if size < 2 or size % 2:
         raise ValueError(f"size must be an even integer >= 2, got {size}")
@@ -216,6 +217,13 @@ def orthogonal_pair(size: int) -> OrthogonalPair:
         if strong is None:
             raise UnsupportedSizeError(f"no strong starter in Z_{size - 1}")
         second = _starter_factorization(strong, size)
+    for name, half in (("first", first), ("second", second)):
+        report = validate_factorization(half)
+        if not report:
+            raise PipelineStageError(
+                "orthogonal pair", f"the {name} factorization of size {size} "
+                f"is not a 1-factorization: {report.violations[0]}",
+                report.violations)
     pair = OrthogonalPair(first, second)
     report = verify_orthogonal_pair(pair)
     if not report:
@@ -253,13 +261,6 @@ def loads_factorization(text: str, size: int | None = None) -> OneFactorization:
 def dumps_pair(pair: OrthogonalPair) -> str:
     return (dumps_factorization(pair.first) + "%\n"
             + dumps_factorization(pair.second))
-
-
-def loads_pair(text: str) -> OrthogonalPair:
-    head, _, tail = text.partition("\n%\n")
-    first = loads_factorization(head)
-    second = loads_factorization(tail, size=first.size)
-    return OrthogonalPair(first, second)
 
 
 def write_pair(pair: OrthogonalPair, path) -> None:

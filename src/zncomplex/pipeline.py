@@ -238,7 +238,7 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
         report.record(stage, p2, n, f"|R|-|S| = {gap} = |R_s|+|R_o|-|S| = {chain}")
 
         stage = "replace-subspace"
-        p3 = replace_subspace(p2, phi2, s_prime).presentation
+        p3 = replace_subspace(p2, phi2, s_prime)
         _verified_rank(p3, stage, n - d)
         report.record(stage, p3, n - d, f"rank dropped by d = {d}")
 

@@ -4,8 +4,11 @@ Words are tuples of (generator, exponent) syllables.  The module provides
 normal forms, presentation extraction from a complex via a spanning tree,
 the abelianization map read off unit-pivot elimination of the relation
 matrix, sparsity analysis of relation sets over 2-dimensional planes, and
-the generator-eliminating rewrites used by the reduction pipeline.  All of
-it is pure-value code over exact integers.
+the generator-eliminating rewrites used by the reduction pipeline.
+minimize and replace_sparse return the rewritten presentation with its
+abelianization map, which the next stage reads; replace_subspace, the last
+rewrite, returns the presentation alone.  All of it is pure-value code over
+exact integers.
 """
 
 from __future__ import annotations
@@ -100,14 +103,6 @@ class NormalForm:
     def support(self) -> frozenset[str]:
         return frozenset(g for g, _ in self.word)
 
-    @property
-    def canonical(self) -> Word:
-        """Lexicographically least cyclic rotation; inverses are not identified."""
-        if not self.word:
-            return ()
-        rotations = [self.word[i:] + self.word[:i] for i in range(len(self.word))]
-        return min(rotations)
-
 
 def normalize(syllables) -> NormalForm:
     """Rewrite a word to its conjugacy normal form.
@@ -125,14 +120,6 @@ def normalize(syllables) -> NormalForm:
         raise TooLongError(syl)
     assert len({g for g, _ in syl}) == len(syl)
     return NormalForm(syl)
-
-
-def is_3_presentation(pres: Presentation) -> bool:
-    try:
-        relation_supports(pres)
-    except TooLongError:
-        return False
-    return True
 
 
 def relation_supports(pres: Presentation) -> list[frozenset[str]]:
@@ -661,15 +648,8 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
                                tuple(collection))
 
 
-@dataclass(frozen=True)
-class ReplaceSubspaceResult:
-    presentation: Presentation
-    phi: AbelianMap
-    added_relations: tuple[int, ...]  # indices of the d new relations
-
-
 def replace_subspace(pres: Presentation, phi: AbelianMap,
-                     generators) -> ReplaceSubspaceResult:
+                     generators) -> Presentation:
     """Kill a generator subset, dropping the rank by the subset's dimension.
 
     Three intlinalg.echelon runs do the lattice work.  The left kernel of
@@ -679,11 +659,12 @@ def replace_subspace(pres: Presentation, phi: AbelianMap,
     left kernel of P's columns, one row per coordinate, is a saturated
     basis x1..xd of that kernel.
     One echelon of all the images, with intlinalg.coordinates, writes each
-    x_i as the image of a word w_i.  The words enter as relations, every
-    image is replaced by its projection, and the subset's generators are
-    deleted from every relation.  The result presents Z^(n-d).  When the
-    images of phi do not generate Z^n, some x_i is the image of no word,
-    and PipelineStageError carries the first such i as the witness.
+    x_i as the image of a word w_i.  The words enter as the last d
+    relations, and the subset's generators are deleted from every relation.
+    The returned presentation presents Z^(n-d); its abelianization is not
+    computed here.  When the images of phi do not generate Z^n, some x_i
+    is the image of no word, and PipelineStageError carries the first such
+    i as the witness.
     """
     wanted = set(generators)
     subset = [g for g in pres.generators if g in wanted]
@@ -694,9 +675,8 @@ def replace_subspace(pres: Presentation, phi: AbelianMap,
     # The rows of P as sparse dicts {coordinate: entry}.
     _, _, projection = echelon([[phi.vector(g)[t] for g in subset] for t in range(n)])
     _, _, saturated = echelon([[y.get(t, 0) for y in projection] for t in range(n)])
-    dim = len(saturated)
     new_words: list[Word] = []
-    if dim:
+    if saturated:
         basis, combos, _ = echelon([phi.vector(g) for g in pres.generators])
         for i, x in enumerate(saturated):
             coeffs = coordinates([x.get(t, 0) for t in range(n)], basis)
@@ -710,22 +690,11 @@ def replace_subspace(pres: Presentation, phi: AbelianMap,
                     exponents[idx] += c * v
             new_words.append(tuple(
                 (g, e) for g, e in zip(pres.generators, exponents) if e))
-    images = {}
-    dropped = set(subset)
-    for g in pres.generators:
-        vec = phi.vector(g)
-        coords = tuple(sum(vec[t] * v for t, v in y.items()) for y in projection)
-        if g in dropped:
-            assert not any(coords), "subset images must project to zero"
-        else:
-            images[g] = coords
-    added = tuple(range(len(pres.relations), len(pres.relations) + dim))
     relations = tuple(
-        _clean_word((g, e) for g, e in rel if g not in dropped)
+        _clean_word((g, e) for g, e in rel if g not in wanted)
         for rel in tuple(pres.relations) + tuple(new_words))
-    out = Presentation(tuple(g for g in pres.generators if g not in dropped),
-                       relations)
-    return ReplaceSubspaceResult(out, AbelianMap(n - dim, images), added)
+    return Presentation(tuple(g for g in pres.generators if g not in wanted),
+                        relations)
 
 
 # ---------------------------------------------------------------------------

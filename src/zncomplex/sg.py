@@ -162,13 +162,6 @@ class Hypergraph3:
                 raise ValueError(f"edge {sorted(e)} uses unknown vertices")
 
 
-def hypergraph(edges, num_vertices: int | None = None) -> Hypergraph3:
-    edge_sets = tuple(frozenset(int(v) for v in e) for e in edges)
-    if num_vertices is None:
-        num_vertices = max((max(e) for e in edge_sets), default=-1) + 1
-    return Hypergraph3(tuple(range(num_vertices)), edge_sets)
-
-
 def prune_min_degree(graph: Hypergraph3, threshold) -> Hypergraph3:
     """Largest sub-hypergraph of minimum degree >= threshold.
 
@@ -195,8 +188,10 @@ def prune_min_degree(graph: Hypergraph3, threshold) -> Hypergraph3:
 
 @dataclass(frozen=True)
 class SgReduction:
+    """The surviving vertices, their points' span against the bound, and
+    the number of removed edges against the budget."""
+
     kept: tuple[int, ...]
-    edges: tuple[frozenset[int], ...]
     dim_span: int
     bound: Fraction
     removed_edges: int
@@ -219,7 +214,8 @@ def sg_reduce(cfg: PointConfig, graph: Hypergraph3, threshold) -> SgReduction:
     edges touch at least k+1 vertices); a violating vertex subset raises
     SgHypothesisError.  The pruning removes fewer than threshold * |V|
     edges, and the span of the surviving points is checked against the
-    12 * |V| / threshold bound; an excess is reported, not silenced.
+    12 * |V| / threshold bound; an excess is reported, not silenced.  The
+    surviving edges are counted, not returned.
     """
     threshold = Fraction(threshold)
     report = linear_mode_report(cfg)
@@ -246,7 +242,6 @@ def sg_reduce(cfg: PointConfig, graph: Hypergraph3, threshold) -> SgReduction:
     bound = 12 * Fraction(len(graph.vertices)) / threshold
     return SgReduction(
         kept=pruned.vertices,
-        edges=pruned.edges,
         dim_span=dim_span,
         bound=bound,
         removed_edges=removed,
@@ -256,11 +251,6 @@ def sg_reduce(cfg: PointConfig, graph: Hypergraph3, threshold) -> SgReduction:
 
 # ---------------------------------------------------------------------------
 # JSON forms
-
-def points_to_json(cfg: PointConfig) -> dict:
-    return {"dimension": cfg.dimension,
-            "points": [[int(x) for x in p] for p in cfg.points]}
-
 
 def points_from_json(data) -> PointConfig:
     """Parse the JSON form; any structural problem raises ValueError."""

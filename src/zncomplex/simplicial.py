@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import AbstractSet, Iterable, Mapping
 
 from .errors import InvalidComplexError, ScxFormatError, SpurError
@@ -118,12 +118,17 @@ def maximal_faces(complex_: SimplicialComplex) -> list[Face]:
     return sorted(f for f in complex_.faces if f not in contained)
 
 
+UNCOVERED_NAMED = 10
+
+
 def validate(complex_: SimplicialComplex) -> Report:
     """Check the downward-closure, labeling and coverage invariants.
 
     The faces are scanned in set order; only the (face, message) records of
     the violations are sorted, stably, so they come in face order and a
-    valid complex sorts nothing.
+    valid complex sorts nothing.  At most UNCOVERED_NAMED vertices in no
+    face are named and the rest counted, so the scan of vertex ids ends
+    UNCOVERED_NAMED past the covered ones, whatever the vertex count.
     """
     faces = complex_.faces
     found: list[tuple[Face, str]] = []
@@ -145,9 +150,13 @@ def validate(complex_: SimplicialComplex) -> Report:
                     found.append((f, f"missing subset {sub} of face {f}"))
     found.sort(key=lambda record: record[0])
     violations = [message for _, message in found]
-    for v in range(complex_.vertex_count):
-        if v not in covered:
-            violations.append(f"vertex {v} appears in no face")
+    count = complex_.vertex_count
+    uncovered = count - sum(1 for v in covered if 0 <= v < count)
+    named = islice((v for v in range(count) if v not in covered), UNCOVERED_NAMED)
+    violations.extend(f"vertex {v} appears in no face" for v in named)
+    if uncovered > UNCOVERED_NAMED:
+        violations.append(f"... and {uncovered - UNCOVERED_NAMED} more vertices "
+                          f"appear in no face")
     return Report.of(violations)
 
 
@@ -155,11 +164,6 @@ def require_valid(complex_: SimplicialComplex) -> None:
     report = validate(complex_)
     if not report:
         raise InvalidComplexError(report)
-
-
-def euler_characteristic(complex_: SimplicialComplex) -> int:
-    require_valid(complex_)
-    return sum((-1) ** k * c for k, c in enumerate(complex_.face_counts()))
 
 
 def _boundary_columns(complex_: SimplicialComplex,

@@ -14,6 +14,9 @@ from math import comb
 import pytest
 
 from abelian_oracle import exponent_matrix
+from euler_oracle import euler_characteristic
+from lattice_oracle import brute_rank as oracle_rank, is_parallel
+from sg_inputs import hypergraph
 from spur_oracle import are_compatible
 from zncomplex.construction import build_spurs, build_w, build_x, torus_block
 from zncomplex.errors import UnsupportedSizeError
@@ -45,14 +48,12 @@ from zncomplex.presentation import (
 )
 from zncomplex.sg import (
     config,
-    hypergraph,
     is_delta_sg,
     prune_min_degree,
     sg_reduce,
 )
 from zncomplex.simplicial import (
     collapse_spur,
-    euler_characteristic,
     homology_through,
     is_spur,
     validate,
@@ -255,7 +256,7 @@ def test_criterion_07_rewriting_soundness():
                             rng.randint(0, len(pres.generators)))
         d = subset_dimension(phi, subset)
         out = replace_subspace(pres, phi, subset)
-        free, torsion = group_signature(out.presentation)
+        free, torsion = group_signature(out)
         ok = ok and free == n - d and torsion == ()
     # replace_sparse: the size identity on every run
     identity_runs = 0
@@ -278,21 +279,19 @@ def test_criterion_07_rewriting_soundness():
                    f"identity held on {identity_runs} runs")
 
 
-def brute_rank(rows):
-    grid = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(grid[0]) if grid else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(grid)) if grid[i][col]), None)
-        if pivot is None:
-            continue
-        grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        for i in range(len(grid)):
-            if i != rank and grid[i][col]:
-                factor = grid[i][col] / grid[rank][col]
-                grid[i] = [a - factor * b for a, b in zip(grid[i], grid[rank])]
-        rank += 1
-    return rank
+def determinant(matrix):
+    """Laplace expansion along the first row; exact on integers."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    return sum((-1) ** j * x * determinant([row[:j] + row[j + 1:]
+                                            for row in matrix[1:]])
+               for j, x in enumerate(matrix[0]) if x)
+
+
+def independent(rows):
+    """Do the rows have a nonzero maximal minor?"""
+    return any(determinant([[row[c] for c in cols] for row in rows])
+               for cols in combinations(range(len(rows[0])), len(rows)))
 
 
 def random_plane_hypergraph(rng, max_vertices):
@@ -339,13 +338,30 @@ def test_criterion_08_sparsity_oracle_equivalence():
         phi, names, pres = random_plane_hypergraph(rng, max_vertices=12)
         supports = [frozenset(normalize(r).support) for r in pres.relations]
         got = is_sparse(pres, phi, range(len(pres.relations)))
-        # brute_rank is exhaustive and costly; both loops below share it.
-        ranks = {}
+        # Both loops below share one independent set of images per subset:
+        # the set of the subset without its last generator, which gains that
+        # generator's image when a maximal minor stays nonzero.  Its size is
+        # the subset's rank, which the first 20 cases check against the
+        # Fraction elimination oracle.  A set as large as the rank of all
+        # the images gains nothing, so no minor is taken for it.
+        bases = {(): []}
+        top = len(names)
+
+        def basis(subset):
+            if subset not in bases:
+                prefix = basis(subset[:-1])
+                grown = prefix + [phi.vector(subset[-1])]
+                bases[subset] = grown if len(prefix) < top and independent(
+                    grown) else prefix
+                if runs < 20:
+                    assert len(bases[subset]) == oracle_rank(
+                        [phi.vector(g) for g in subset]), subset
+            return bases[subset]
 
         def planar(subset):
-            if subset not in ranks:
-                ranks[subset] = brute_rank([phi.vector(g) for g in subset])
-            return ranks[subset] == 2
+            return len(basis(subset)) == 2
+
+        top = len(basis(tuple(names)))
 
         expected = True
         for size in range(1, len(names) + 1):
@@ -409,8 +425,9 @@ def test_criterion_09_deficiency_bounds():
 
 
 def collinear(p, q, r):
-    return brute_rank([[b - a for a, b in zip(p, q)],
-                       [c - a for a, c in zip(p, r)]]) <= 1
+    """Three distinct points on one line: q - p and r - p are parallel."""
+    return is_parallel([b - a for a, b in zip(p, q)],
+                       [c - a for a, c in zip(p, r)])
 
 
 def test_criterion_10_sg_module():

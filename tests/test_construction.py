@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from euler_oracle import euler_characteristic
 from spur_oracle import are_compatible
 from zncomplex.construction import (
     build_spurs,
@@ -25,7 +26,6 @@ from zncomplex.simplicial import (
     collapse_spur,
     collapse_spurs,
     compatible_spurs,
-    euler_characteristic,
     from_maximal_faces,
     homology_through,
     is_spur,

@@ -12,7 +12,7 @@ from zncomplex.factorization import (
     OrthogonalPair,
     all_edges,
     dumps_pair,
-    loads_pair,
+    loads_factorization,
     orthogonal_pair,
     round_robin_factorization,
     validate_factorization,
@@ -115,6 +115,20 @@ def test_orthogonal_pair_verified_once(monkeypatch):
     assert info.value.witness == witness
 
 
+def test_orthogonal_pair_validates_each_half(monkeypatch):
+    # Round 8 of the stored size-10 mate now repeats the edge 1-2 of round 0.
+    corrupted = factorization._SIZE_10_MATE.replace("1-10 2-4", "1-10 1-2", 1)
+    assert corrupted != factorization._SIZE_10_MATE
+    monkeypatch.setattr(factorization, "_SIZE_10_MATE", corrupted)
+    with pytest.raises(PipelineStageError) as info:
+        orthogonal_pair(10)
+    assert info.value.stage == "orthogonal pair"
+    assert "second factorization" in str(info.value)
+    assert info.value.witness == validate_factorization(
+        loads_factorization(corrupted, size=10)).violations
+    assert any("repeated" in line for line in info.value.witness)
+
+
 def test_self_pair_not_orthogonal_for_size_8():
     fact = round_robin_factorization(8)
     report = verify_orthogonal_pair(OrthogonalPair(fact, fact))
@@ -139,6 +153,7 @@ def test_pair_text_round_trip():
     pair = orthogonal_pair(8)
     text = dumps_pair(pair)
     assert "%" in text
-    again = loads_pair(text)
+    head, _, tail = text.partition("\n%\n")
+    again = OrthogonalPair(loads_factorization(head), loads_factorization(tail))
     assert again == pair
     assert dumps_pair(again) == text

@@ -14,6 +14,7 @@ import pytest
 
 import zncomplex
 from lattice_oracle import brute_rank
+from sg_inputs import points_to_json
 from zncomplex import errors
 from zncomplex.cli import main
 from zncomplex.construction import build_x
@@ -28,7 +29,7 @@ from zncomplex.presentation import (
     standard_zn,
 )
 from zncomplex.report import Report
-from zncomplex.sg import points_to_json, config
+from zncomplex.sg import config
 from zncomplex.simplicial import read_scx
 
 
@@ -370,6 +371,34 @@ def test_cli_golden_verify_uncovered_vertices(tmp_path, capsys):
     assert main(["verify", str(scx)]) == 1
     assert capsys.readouterr().out == (
         "vertex 3 appears in no face\nvertex 4 appears in no face\n")
+
+
+@pytest.mark.parametrize("count", [13, 14, 3_000_000, 10 ** 12])
+def test_cli_verify_names_ten_uncovered_vertices_and_counts_the_rest(
+        tmp_path, capsys, count):
+    scx = tmp_path / "uncovered.scx"
+    scx.write_text(f"scx 1\nv {count}\n0 1 2\n")
+    start = time.monotonic()
+    assert main(["verify", str(scx)]) == 1
+    elapsed = time.monotonic() - start
+    named = [f"vertex {v} appears in no face" for v in range(3, 13)]
+    rest = [f"... and {count - 13} more vertices appear in no face"] \
+        if count > 13 else []
+    assert capsys.readouterr().out.splitlines() == named + rest
+    assert elapsed < 1, f"verify took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("relations", [
+    ((("g", 2),),),
+    ((("g", 1), ("h", 1), ("g", -1), ("h", -1)),),
+], ids=["torsion", "four-syllables"])
+def test_cli_reduce_and_pipeline_fail_a_check_alike(tmp_path, capsys, relations):
+    path = tmp_path / "bad.json"
+    generators = tuple(sorted({g for rel in relations for g, _ in rel}))
+    path.write_text(dumps_presentation(Presentation(generators, relations)))
+    for command in ("reduce", "pipeline"):
+        assert main([command, str(path)]) == 1, command
+        assert capsys.readouterr().out.startswith("check failed: "), command
 
 
 @pytest.mark.parametrize("points, delta, code, out", [

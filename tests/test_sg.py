@@ -7,15 +7,14 @@ from fractions import Fraction
 import pytest
 
 from lattice_oracle import brute_rank, is_parallel
+from sg_inputs import hypergraph, points_to_json
 from zncomplex import sg
 from zncomplex.errors import SgHypothesisError
 from zncomplex.sg import (
     config,
-    hypergraph,
     is_delta_sg,
     linear_mode_report,
     points_from_json,
-    points_to_json,
     projectivize,
     prune_min_degree,
     sg_reduce,

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from euler_oracle import euler_characteristic
 from lattice_oracle import brute_rank, smith_diagonal
 from spur_oracle import are_compatible
 from zncomplex.cli import main
@@ -24,7 +25,6 @@ from zncomplex.simplicial import (
     collapse_spur,
     collapse_spurs,
     dumps_scx,
-    euler_characteristic,
     from_maximal_faces,
     homology,
     homology_through,

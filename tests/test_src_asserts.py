@@ -16,9 +16,6 @@ ALLOWED = {
         "_clean_word merges equal adjacent generators and the rotation loop "
         "merges equal first and last ones, so at most three syllables are "
         "left with distinct generators",
-    ("presentation.py", "replace_subspace"):
-        "P is the left kernel of the dropped generators' images, so each "
-        "of those images projects to zero",
 }
 
 
