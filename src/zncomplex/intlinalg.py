@@ -6,10 +6,11 @@ sparse_snf, which takes sparse columns.  Two routines reduce matrices, and
 everything else calls one of them:
 
 - _eliminate_units takes out the unit pivots of a sparse matrix in
-  Markowitz order.  sparse_snf runs it for homology from d_2 up
-  (simplicial reads d_1 off a spanning forest), the pipeline's rank checks
-  and smith_normal_form, which hands it the columns of a dense matrix; presentation.abelian_images runs it to log each
-  eliminated generator.
+  Markowitz order.  sparse_snf runs it for simplicial's homology (d_2 on
+  the edges outside a spanning forest, d_k for k >= 3 on every row; d_1 is
+  read off the forest), for the pipeline's rank checks and for
+  smith_normal_form, which hands it the columns of a dense matrix.
+  presentation.abelian_images runs it to log each eliminated generator.
 - echelon is integer row echelon form by Euclid, with its transform.  It
   diagonalizes what unit elimination leaves: _smith_diagonal alternates it
   on rows and columns, for sparse_snf and hence smith_normal_form, which

@@ -14,10 +14,12 @@ by dimension, each bucket sorted once.  faces_of_dim, face_counts, dim and
 the boundary maps read it, so no pass sorts the face set again.
 
 homology_through reduces each boundary map d_k once; homology(k) is its last
-entry.  d_1, the signed incidence matrix of the graph, is totally unimodular,
-so its Smith form is read off a spanning forest.  d_k for k >= 2 is built
-once as sparse columns and reduced with intlinalg.sparse_snf; boundary_matrix
-is the dense rendering of the same map.
+entry.  Each complex finds one spanning forest F of its graph, by union-find.
+d_1 is totally unimodular, so its Smith form is read off F.  d_2 is reduced
+by intlinalg.sparse_snf on the edges outside F only: that projection maps
+ker d_1, and so im d_2, isomorphically, which keeps rank d_2 and H_1.  d_k for
+k >= 3 is reduced on every row; boundary_matrix is the dense rendering of the
+full map.
 
 compatible_spurs checks a whole spur collection for pairwise compatibility
 in one scan of the members' neighbors.
@@ -83,6 +85,35 @@ class SimplicialComplex:
                 out.setdefault(b, set()).add(a)
         return {v: frozenset(s) for v, s in out.items()}
 
+    @cached_property
+    def _cotree(self) -> tuple[Face, ...]:
+        """The edges outside one spanning forest F of the graph, in order.
+
+        Union-find over the sorted edges puts an edge in F when it joins two
+        components, so V - len(F) is the number of components.  Each edge
+        outside F closes one cycle with F.  Needs a valid complex.
+        """
+        root = list(range(self.vertex_count))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        cotree = []
+        for edge in self.faces_of_dim(1):
+            ra, rb = find(edge[0]), find(edge[1])
+            if ra == rb:
+                cotree.append(edge)
+            else:
+                root[ra] = rb
+        return tuple(cotree)
+
+    @cached_property
+    def _validation(self) -> Report:
+        """validate's report, from one scan per complex."""
+        return _scan(self)
+
 
 def closure_of(faces: Iterable[Iterable[int]]) -> frozenset[Face]:
     """All nonempty subsets of the given faces, as sorted tuples."""
@@ -119,6 +150,7 @@ def maximal_faces(complex_: SimplicialComplex) -> list[Face]:
 
 
 UNCOVERED_NAMED = 10
+MAX_FACE_VERTICES = 16  # per .scx face line; its closure has 2^k - 1 faces
 
 
 def validate(complex_: SimplicialComplex) -> Report:
@@ -128,8 +160,14 @@ def validate(complex_: SimplicialComplex) -> Report:
     the violations are sorted, stably, so they come in face order and a
     valid complex sorts nothing.  At most UNCOVERED_NAMED vertices in no
     face are named and the rest counted, so the scan of vertex ids ends
-    UNCOVERED_NAMED past the covered ones, whatever the vertex count.
+    UNCOVERED_NAMED past the covered ones, whatever the vertex count.  The
+    scan runs once per complex; validate and require_valid share its report.
     """
+    return complex_._validation
+
+
+def _scan(complex_: SimplicialComplex) -> Report:
+    """validate's one scan of the faces and the vertex ids."""
     faces = complex_.faces
     found: list[tuple[Face, str]] = []
     covered = set()
@@ -166,22 +204,26 @@ def require_valid(complex_: SimplicialComplex) -> None:
         raise InvalidComplexError(report)
 
 
-def _boundary_columns(complex_: SimplicialComplex,
-                      k: int) -> tuple[list[dict[int, int]], int]:
+def _boundary_columns(complex_: SimplicialComplex, k: int,
+                      rows: Iterable[Face] | None = None
+                      ) -> tuple[list[dict[int, int]], int]:
     """The boundary map from k-chains to (k-1)-chains, as sparse columns.
 
-    Returns (columns, row count).  Rows are indexed by the sorted
-    (k-1)-faces, columns by the sorted k-faces; column j maps each facet of
-    k-face j to the usual alternating sign on sorted vertex tuples.  For
-    k <= 0 the map is zero and has no rows.
+    Returns (columns, row count).  Rows are indexed by rows, the (k-1)-faces
+    to keep (all of them, sorted, by default), columns by the sorted k-faces;
+    column j maps each kept facet of k-face j to the usual alternating sign
+    on sorted vertex tuples, so dropped rows project the map.  For k <= 0
+    the map is zero and has no rows.
     """
     upper = complex_.faces_of_dim(k)
     if k <= 0:
         return [{} for _ in upper], 0
-    lower = {f: i for i, f in enumerate(complex_.faces_of_dim(k - 1))}
-    columns = [{lower[f[:drop] + f[drop + 1:]]: (-1) ** drop
-                for drop in range(len(f))} for f in upper]
-    return columns, len(lower)
+    if rows is None:
+        rows = complex_.faces_of_dim(k - 1)
+    index = {f: i for i, f in enumerate(rows)}
+    columns = [{index[facet]: (-1) ** drop for drop in range(len(f))
+                if (facet := f[:drop] + f[drop + 1:]) in index} for f in upper]
+    return columns, len(index)
 
 
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> list[list[int]]:
@@ -206,29 +248,24 @@ class Homology:
 
 
 def _reduce_boundary(complex_: SimplicialComplex, k: int) -> SnfResult:
-    """The Smith form of d_k: d_1 from a spanning forest, the rest by sparse_snf.
+    """A Smith form with the rank and the torsion of d_k, on a valid complex.
 
-    d_1 is the signed incidence matrix of the graph of vertices and edges.
-    It is totally unimodular, so every nonzero invariant is 1, and its rank
-    is V minus the number of components: the edges of a spanning forest,
-    which union-find counts.
+    F is the complex's spanning forest.  d_1, the signed incidence matrix of
+    the graph, is totally unimodular, so its rank is the edge count of F and
+    every nonzero invariant is 1.  sparse_snf reduces d_2 on the rows of the
+    edges outside F, that is p d_2 for the projection p onto them.  An edge
+    e outside F closes one cycle with F, with coefficient +-1 on e and 0 on
+    the other edges outside F.  These cycles are a basis of ker d_1, so p
+    maps ker d_1, a direct summand that holds im d_2, isomorphically onto
+    its image.  Hence p d_2 has the nonzero invariants of d_2 and its
+    cokernel is H_1, torsion included; only the trailing zeros differ.
+    d_k for k >= 3 keeps every row.
     """
     if k != 1:
-        return sparse_snf(*_boundary_columns(complex_, k))
+        rows = complex_._cotree if k == 2 else None
+        return sparse_snf(*_boundary_columns(complex_, k, rows))
     vertices, edges = complex_.faces_of_dim(0), complex_.faces_of_dim(1)
-    root = list(range(complex_.vertex_count))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    rank = 0
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root[ra] = rb
-            rank += 1
+    rank = len(edges) - len(complex_._cotree)
     zeros = min(len(vertices), len(edges)) - rank
     return SnfResult((1,) * rank + (0,) * zeros, rank)
 
@@ -247,7 +284,10 @@ def homology_through(complex_: SimplicialComplex, top: int) -> list[Homology]:
     """H_0 .. H_top, reducing each boundary map d_0 .. d_top+1 once.
 
     H_k has betti number (k-faces) - rank d_k - rank d_k+1 and the torsion
-    of d_k+1.  homology(k) is the last entry of this list.
+    of d_k+1.  d_1's rank is the edge count of the complex's one spanning
+    forest F, and d_2 is reduced on the edges outside F only, which keeps
+    rank d_2 and the torsion of H_1 (see _reduce_boundary).  homology(k) is
+    the last entry of this list.
     """
     require_valid(complex_)
     reduced = [_reduce_boundary(complex_, k) for k in range(top + 2)]
@@ -424,6 +464,11 @@ def dumps_scx(complex_: SimplicialComplex) -> str:
 
 
 def loads_scx(text: str) -> SimplicialComplex:
+    """Parse dumps_scx's text form; malformed text raises ScxFormatError.
+
+    A face line with more than MAX_FACE_VERTICES vertices is rejected before
+    the closure, which is exponential in the face size, is built.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != SCX_HEADER:
         raise ScxFormatError("missing 'scx 1' header")
@@ -440,8 +485,12 @@ def loads_scx(text: str) -> SimplicialComplex:
         line = line.strip()
         if not line:
             continue
+        tokens = line.split()
+        if len(tokens) > MAX_FACE_VERTICES:
+            raise ScxFormatError(f"face line has {len(tokens)} vertices, more "
+                                 f"than {MAX_FACE_VERTICES}")
         try:
-            face = tuple(int(tok) for tok in line.split())
+            face = tuple(int(tok) for tok in tokens)
         except ValueError as exc:
             raise ScxFormatError(f"bad face line: {line!r}") from exc
         if list(face) != sorted(set(face)):

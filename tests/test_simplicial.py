@@ -4,6 +4,7 @@ import gc
 import random
 import time
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,11 +12,13 @@ import pytest
 from euler_oracle import euler_characteristic
 from lattice_oracle import brute_rank, smith_diagonal
 from spur_oracle import are_compatible
+from zncomplex import simplicial
 from zncomplex.cli import main
 from zncomplex.errors import InvalidComplexError, ScxFormatError, SpurError
 from zncomplex.intlinalg import SnfResult, sparse_snf
 from zncomplex.report import Report
 from zncomplex.simplicial import (
+    MAX_FACE_VERTICES,
     Homology,
     SimplicialComplex,
     _boundary_columns,
@@ -447,3 +450,157 @@ def test_neighbors_do_not_keep_the_complex_alive():
     del complex_
     gc.collect()
     assert ref() is None
+
+
+def grid_surface(flip):
+    """The 3 x 3 grid on Z_3 x Z_3: a torus, or with flip a Klein bottle."""
+    def label(x, y):
+        if x == 3:
+            x, y = 0, (-y if flip else y)
+        return 3 * (x % 3) + y % 3
+
+    faces = []
+    for x in range(3):
+        for y in range(3):
+            a, b = label(x, y), label(x + 1, y)
+            c, d = label(x, y + 1), label(x + 1, y + 1)
+            faces += [(a, b, d), (a, c, d)]
+    return faces
+
+
+def shifted(faces, by):
+    return [tuple(v + by for v in f) for f in faces]
+
+
+def random_complex_3d(rng):
+    """Up to 8 vertices and faces of up to 4 vertices, relabeled to 0..n-1."""
+    n = rng.randint(4, 8)
+    faces = [tuple(sorted(rng.sample(range(n), rng.randint(1, 4))))
+             for _ in range(rng.randint(1, 10))]
+    used = sorted({v for f in faces for v in f})
+    relabel = {v: i for i, v in enumerate(used)}
+    return from_maximal_faces(
+        [tuple(relabel[v] for v in f) for f in faces], vertex_count=len(used))
+
+
+def assert_matches_reference(complex_):
+    hs = homology_through(complex_, complex_.dim)
+    assert hs == [reference_homology(complex_, k)
+                  for k in range(complex_.dim + 1)]
+    return hs
+
+
+def test_cotree_rows_of_d2_match_the_oracle_on_random_complexes():
+    # d_2 is reduced on the edges outside a spanning forest; the oracle
+    # reduces the full dense d_2.  Random graphs are often disconnected and
+    # have isolated vertices.
+    rng = random.Random(20911952)
+    for _ in range(200):
+        assert_matches_reference(random_complex(rng))
+    for _ in range(150):
+        assert_matches_reference(random_graph(rng))
+
+
+def test_cotree_rows_of_d2_leave_d3_on_every_row():
+    # The suspension of RP^2: a cone over it at 6 and another at 7.
+    suspension = [f + (apex,) for apex in (6, 7)
+                  for f in maximal_faces(rp2_complex())]
+    pinned = {
+        # S^3, the boundary of the 4-simplex.
+        "sphere3": ([f for f in combinations(range(5), 4)],
+                    [Homology(1), Homology(0), Homology(0), Homology(1)]),
+        "solid": ([tuple(range(4))], [Homology(1)] + [Homology(0)] * 3),
+        # H_2 = Z/2 of the suspension comes from d_3 alone.
+        "suspension": (suspension, [Homology(1), Homology(0),
+                                    Homology(0, (2,)), Homology(0)]),
+        "4-simplex": ([tuple(range(5))], [Homology(1)] + [Homology(0)] * 4),
+    }
+    for name, (faces, expected) in pinned.items():
+        assert assert_matches_reference(from_maximal_faces(faces)) == expected, name
+    rng = random.Random(3)
+    dims = Counter()
+    for _ in range(80):
+        complex_ = random_complex_3d(rng)
+        dims[complex_.dim] += 1
+        assert_matches_reference(complex_)
+    assert dims[3] >= 20
+
+
+def test_cotree_rows_of_d2_keep_the_torsion_of_h1():
+    rp2 = maximal_faces(rp2_complex())
+    pinned = {
+        "rp2": (rp2, [Homology(1), Homology(0, (2,)), Homology(0)]),
+        "klein": (grid_surface(True), [Homology(1), Homology(1, (2,)),
+                                       Homology(0)]),
+        "rp2 + torus": (rp2 + shifted(grid_surface(False), 6),
+                        [Homology(2), Homology(2, (2,)), Homology(1)]),
+        "rp2 v circle": (rp2 + [(0, 6), (6, 7), (0, 7)],
+                         [Homology(1), Homology(1, (2,)), Homology(0)]),
+    }
+    for name, (faces, expected) in pinned.items():
+        assert assert_matches_reference(from_maximal_faces(faces)) == expected, name
+
+
+def test_d2_reaches_sparse_snf_with_one_row_per_edge_outside_the_forest(
+        monkeypatch):
+    shapes = []
+
+    def spy(columns, row_count):
+        shapes.append((len(columns), row_count))
+        return sparse_snf(columns, row_count)
+
+    monkeypatch.setattr(simplicial, "sparse_snf", spy)
+    rng = random.Random(17)
+    complexes = [rp2_complex(), from_maximal_faces(grid_surface(True)),
+                 from_maximal_faces(maximal_faces(rp2_complex())
+                                    + shifted(grid_surface(False), 6))]
+    complexes += [random_complex(rng) for _ in range(40)]
+    complexes += [random_graph(rng) for _ in range(40)]
+    for complex_ in complexes:
+        shapes.clear()
+        homology_through(complex_, 2)
+        # sparse_snf reduces d_0, d_2 and d_3, in that order.
+        vertices, edges, triangles = (complex_.face_counts() + [0, 0, 0])[:3]
+        components = reference_homology(complex_, 0).betti
+        assert shapes[1] == (triangles, edges - vertices + components)
+
+
+def test_validate_scans_once_for_verify_expect_rank(tmp_path, capsys,
+                                                    monkeypatch):
+    scans = []
+
+    def counting(complex_):
+        scans.append(complex_)
+        return real(complex_)
+
+    real = simplicial._scan
+    monkeypatch.setattr(simplicial, "_scan", counting)
+    path = tmp_path / "rp2.scx"
+    path.write_text(dumps_scx(rp2_complex()))
+    assert main(["verify", str(path), "--expect-rank", "0"]) == 1
+    assert capsys.readouterr().out == (
+        "valid complex: 6 vertices, 31 faces\n"
+        "H1 = Z^0 with torsion [2], expected Z^0\n")
+    assert len(scans) == 1
+    path.write_text(dumps_scx(circle(4)))
+    assert main(["verify", str(path), "--expect-rank", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "valid complex: 4 vertices, 8 faces\nH1 = Z^1\n")
+    assert len(scans) == 2
+
+
+def test_scx_face_lines_are_capped(tmp_path, capsys):
+    at_cap = " ".join(map(str, range(MAX_FACE_VERTICES)))
+    complex_ = loads_scx(f"scx 1\nv {MAX_FACE_VERTICES}\n{at_cap}\n")
+    assert len(complex_.faces) == 2 ** MAX_FACE_VERTICES - 1
+    path = tmp_path / "long.scx"
+    path.write_text("scx 1\nv 40\n" + " ".join(map(str, range(40))) + "\n0 1\n")
+    for argv in (["verify", str(path)], ["homology", str(path), "--dim", "1"]):
+        start = time.monotonic()
+        assert main(argv) == 2
+        elapsed = time.monotonic() - start
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: face line has 40 vertices, more than "
+                                f"{MAX_FACE_VERTICES}\n")
+        assert elapsed < 1, f"{argv[0]} took {elapsed:.2f}s"
