@@ -8,8 +8,11 @@ sizes 2n except 4 and 6 (Mullin & Wallis, 1975).
 One construction serves every size: the round-robin factorization, which is
 the development of the patterned starter {-s, s} in Z_{2n-1}, paired with the
 development of a strong starter in Z_{2n-1}.  The starter argument holds in
-Z_m for any odd m, prime or not.  Z_9 has no strong starter, so size 10 uses
-one stored pair instead.  Sizes up to 48 are covered.
+Z_m for any odd m, prime or not.  A seeded hill-climb finds the strong
+starter in bounded time; a sweep over every even size from 8 to 400 but 10
+found one each time.  Z_9 has no strong starter, so size 10 uses one stored
+pair instead, and the starters of Z_7, Z_11, Z_13 and Z_27 are stored
+because the pairs and complexes built from them are pinned.
 """
 
 from __future__ import annotations
@@ -102,15 +105,20 @@ def verify_orthogonal_pair(pair: OrthogonalPair) -> Report:
         for edge in matching:
             second_index[edge] = idx
     for idx, matching in enumerate(pair.first.matchings):
-        edges = sorted(matching)
-        for i, e in enumerate(edges):
-            for e2 in edges[i + 1:]:
-                shared = second_index.get(e)
-                if shared is not None and shared == second_index.get(e2):
-                    return Report.of(
-                        [f"edges {e} and {e2} share matching {idx} of the "
-                         f"first and {shared} of the second"],
-                        (e, e2, idx, shared))
+        buckets: dict[int, list[Edge]] = {}
+        for edge in sorted(matching):
+            shared = second_index.get(edge)
+            if shared is not None:
+                buckets.setdefault(shared, []).append(edge)
+        clashes = [(bucket, shared) for shared, bucket in buckets.items()
+                   if len(bucket) > 1]
+        if clashes:
+            bucket, shared = min(clashes)
+            e, e2 = bucket[0], bucket[1]
+            return Report.of(
+                [f"edges {e} and {e2} share matching {idx} of the "
+                 f"first and {shared} of the second"],
+                (e, e2, idx, shared))
     return Report(True)
 
 
@@ -133,45 +141,85 @@ def _starter_factorization(pairs: list[tuple[int, int]], size: int) -> OneFactor
     return OneFactorization(size, tuple(rounds))
 
 
-def _strong_starter(m: int) -> list[tuple[int, int]] | None:
+def _append(items: list[int], at: dict[int, int], item: int) -> None:
+    at[item] = len(items)
+    items.append(item)
+
+
+def _swap_remove(items: list[int], at: dict[int, int], item: int) -> None:
+    """Remove item by moving the last entry into its place."""
+    last = items.pop()
+    i = at.pop(item)
+    if last != item:
+        items[i] = last
+        at[last] = i
+
+
+# Restarts of the climb before a modulus is given up on.  A sweep of every
+# even size from 8 to 400 needed at most 3.
+_CLIMB_SEEDS = 20
+
+
+def _strong_starter(m: int) -> list[tuple[int, int]]:
     """Starter in Z_m, for any odd m, whose pair sums are distinct and nonzero.
 
     Such a starter generates a factorization orthogonal to the patterned one
     (the round-robin factorization): two translated pairs land on
     {x, -x}-type pairs of a common translate exactly when their sums
     collide, and a sum of zero collides with the untranslated patterned
-    matching itself.  Nothing in this argument needs m to be prime.  Z_3,
-    Z_5 and Z_9 have no strong starter; for every other odd m up to 47 the
-    search finds one, and None means it found none.  Depth-first search
-    over the difference classes 1..(m-1)/2, with candidates in a fixed
-    pseudo-random order.
+    matching itself.  Nothing in this argument needs m to be prime.
+
+    The hill-climb of Dinitz & Stinson (SIAM J. Alg. Disc. Meth. 8, 1987)
+    builds one pair per difference class d = 1..(m-1)/2.  A step picks an
+    uncovered x and an unused class d, sets y = x +- d, and accepts {x, y}
+    when at most one placed pair conflicts with it, on y or on the sum
+    x + y; that pair is evicted.  Every 200*m steps the climb restarts from
+    the next seed of a fixed sequence, so the result is deterministic.
+    Z_3, Z_5 and Z_9 have no strong starter; the climb finds one for every
+    odd m from 7 to 399 but 9 within a few seeds, and raises
+    UnsupportedSizeError once _CLIMB_SEEDS seeds have failed.
     """
-    rng = random.Random(0)
-    used: set[int] = set()
-    sums: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-
-    def place(d: int) -> bool:
-        if d > (m - 1) // 2:
-            return True
-        candidates = list(range(1, m))
-        rng.shuffle(candidates)
-        for x in candidates:
-            y = (x + d) % m
+    half = (m - 1) // 2
+    for seed in range(_CLIMB_SEEDS):
+        draw = random.Random(seed).random
+        pair_of: dict[int, tuple[int, int]] = {}   # class -> (x, y)
+        class_at: dict[int, int] = {}              # element -> class
+        class_of_sum: dict[int, int] = {}          # pair sum -> class
+        # Uncovered elements and unused classes: lists with position maps,
+        # so that a random pick, an add and a removal each cost O(1).
+        uncovered = list(range(1, m))
+        uncovered_at = {x: i for i, x in enumerate(uncovered)}
+        unused = list(range(1, half + 1))
+        unused_at = {d: i for i, d in enumerate(unused)}
+        for _ in range(200 * m):
+            x = uncovered[int(draw() * len(uncovered))]
+            d = unused[int(draw() * len(unused))]
+            y = (x + d) % m if draw() < 0.5 else (x - d) % m
             s = (x + y) % m
-            if y == 0 or x in used or y in used or s == 0 or s in sums:
+            if y == 0 or s == 0:
                 continue
-            used.update((x, y))
-            sums.add(s)
-            pairs.append((x, y))
-            if place(d + 1):
-                return True
-            pairs.pop()
-            used.difference_update((x, y))
-            sums.discard(s)
-        return False
-
-    return pairs if place(1) else None
+            old = class_at.get(y)
+            by_sum = class_of_sum.get(s)
+            if old is None:
+                old = by_sum
+            elif by_sum is not None and by_sum != old:
+                continue
+            if old is not None:
+                a, b = pair_of.pop(old)
+                del class_at[a], class_at[b], class_of_sum[(a + b) % m]
+                _append(uncovered, uncovered_at, a)
+                _append(uncovered, uncovered_at, b)
+                _append(unused, unused_at, old)
+            pair_of[d] = (x, y)
+            class_at[x] = class_at[y] = d
+            class_of_sum[s] = d
+            _swap_remove(uncovered, uncovered_at, x)
+            _swap_remove(uncovered, uncovered_at, y)
+            _swap_remove(unused, unused_at, d)
+            if not unused:
+                return [pair_of[d] for d in range(1, half + 1)]
+    raise UnsupportedSizeError(
+        f"no strong starter in Z_{m} after {_CLIMB_SEEDS} restarts")
 
 
 # Z_9 has no strong starter, so size 10 keeps one stored mate of the
@@ -189,6 +237,18 @@ _SIZE_10_MATE = """
 """
 
 
+# The starters the depth-first search that preceded the climb found in
+# these moduli.  They are kept because the pairs of sizes 8, 12 and 14 and
+# the presentations of X_7, X_12 and X_28 built from them are pinned.
+_STORED_STARTERS = {
+    7: [(2, 3), (4, 6), (5, 1)],
+    11: [(8, 9), (4, 6), (2, 5), (10, 3), (7, 1)],
+    13: [(9, 10), (5, 7), (1, 4), (12, 3), (6, 11), (2, 8)],
+    27: [(15, 16), (17, 19), (10, 13), (14, 18), (3, 8), (23, 2), (4, 11),
+         (20, 1), (24, 6), (26, 9), (21, 5), (22, 7), (12, 25)],
+}
+
+
 def orthogonal_pair(size: int) -> OrthogonalPair:
     """Deterministic orthogonal pair of 1-factorizations of K_size.
 
@@ -196,8 +256,11 @@ def orthogonal_pair(size: int) -> OrthogonalPair:
     UnsupportedSizeError.  The first factorization is always the
     round-robin one.  Its mate is the same factorization for size 2 (the
     pair is vacuously orthogonal), a stored factorization for size 10, and
-    otherwise the development of a strong starter in Z_{size-1}.  Every
-    even size from 2 to 48 except 4 and 6 is covered.  Each half is
+    otherwise the development of a strong starter in Z_{size-1}: a stored
+    one for sizes 8, 12, 14 and 28, whose pairs or complexes are pinned,
+    and the hill-climb's for the rest.  A sweep found a pair for every even
+    size from 8 to 400; at any size the climb ends in bounded time, with
+    UnsupportedSizeError if it finds no starter.  Each half is
     validated, then the pair is checked, once each, before it is returned.
     A failure raises PipelineStageError; it names a half that is not a
     1-factorization, with the violations as the witness.
@@ -213,9 +276,7 @@ def orthogonal_pair(size: int) -> OrthogonalPair:
     elif size == 10:
         second = loads_factorization(_SIZE_10_MATE, size=10)
     else:
-        strong = _strong_starter(size - 1)
-        if strong is None:
-            raise UnsupportedSizeError(f"no strong starter in Z_{size - 1}")
+        strong = _STORED_STARTERS.get(size - 1) or _strong_starter(size - 1)
         second = _starter_factorization(strong, size)
     for name, half in (("first", first), ("second", second)):
         report = validate_factorization(half)

@@ -151,6 +151,10 @@ def maximal_faces(complex_: SimplicialComplex) -> list[Face]:
 
 UNCOVERED_NAMED = 10
 MAX_FACE_VERTICES = 16  # per .scx face line; its closure has 2^k - 1 faces
+# Per .scx file: the sum of 2^k - 1 over its face lines of k vertices, which
+# bounds the size of the closure.  W_100 and X_100, the largest complexes
+# the CLI writes, each sum to 485,100.
+MAX_SCX_CLOSURE = 1 << 20
 
 
 def validate(complex_: SimplicialComplex) -> Report:
@@ -466,8 +470,10 @@ def dumps_scx(complex_: SimplicialComplex) -> str:
 def loads_scx(text: str) -> SimplicialComplex:
     """Parse dumps_scx's text form; malformed text raises ScxFormatError.
 
-    A face line with more than MAX_FACE_VERTICES vertices is rejected before
-    the closure, which is exponential in the face size, is built.
+    A face line with more than MAX_FACE_VERTICES vertices, or face lines
+    whose closures could hold more than MAX_SCX_CLOSURE faces in all, are
+    rejected before the closure, which is exponential in the face size, is
+    built.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != SCX_HEADER:
@@ -481,6 +487,7 @@ def loads_scx(text: str) -> SimplicialComplex:
     if vertex_count < 0:
         raise ScxFormatError(f"negative vertex count: {lines[1]!r}")
     maximal = []
+    closure_bound = 0
     for line in lines[2:]:
         line = line.strip()
         if not line:
@@ -495,6 +502,10 @@ def loads_scx(text: str) -> SimplicialComplex:
             raise ScxFormatError(f"bad face line: {line!r}") from exc
         if list(face) != sorted(set(face)):
             raise ScxFormatError(f"face not sorted and duplicate-free: {line!r}")
+        closure_bound += (1 << len(face)) - 1
+        if closure_bound > MAX_SCX_CLOSURE:
+            raise ScxFormatError(f"face lines close to more than "
+                                 f"{MAX_SCX_CLOSURE} faces")
         maximal.append(face)
     return from_maximal_faces(maximal, vertex_count)
 

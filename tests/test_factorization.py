@@ -1,14 +1,17 @@
 """1-factorizations and orthogonal pairs."""
 
 import hashlib
+import random
 import time
 
 import pytest
 
+from orthogonal_oracle import pairwise_verify
 from zncomplex import factorization
 from zncomplex.errors import PipelineStageError, UnsupportedSizeError
 from zncomplex.report import Report
 from zncomplex.factorization import (
+    OneFactorization,
     OrthogonalPair,
     all_edges,
     dumps_pair,
@@ -81,6 +84,82 @@ def test_orthogonal_pair_every_size_to_48():
         assert verify_orthogonal_pair(pair), size
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"sweep took {elapsed:.1f}s, budget 30s"
+
+
+def test_orthogonal_pair_every_size_to_128_under_a_second_each():
+    for size in range(8, 129, 2):
+        start = time.monotonic()
+        pair = orthogonal_pair(size)
+        elapsed = time.monotonic() - start
+        assert validate_factorization(pair.first), size
+        assert validate_factorization(pair.second), size
+        assert verify_orthogonal_pair(pair), size
+        assert elapsed < 1, f"size {size} took {elapsed:.2f}s, budget 1s"
+
+
+@pytest.mark.parametrize("size", [50, 100])
+def test_climbed_pairs_are_deterministic(size):
+    assert orthogonal_pair(size) == orthogonal_pair(size)
+
+
+def _is_strong_starter(pairs, m):
+    elements = sorted(x for pair in pairs for x in pair)
+    classes = sorted(min((x - y) % m, (y - x) % m) for x, y in pairs)
+    sums = [(x + y) % m for x, y in pairs]
+    return (elements == list(range(1, m))
+            and classes == list(range(1, (m - 1) // 2 + 1))
+            and 0 not in sums and len(set(sums)) == len(sums))
+
+
+@pytest.mark.parametrize("m", [7, 11, 13, 15, 25, 27, 49, 99, 127])
+def test_climb_finds_a_strong_starter(m):
+    assert _is_strong_starter(factorization._strong_starter(m), m)
+
+
+@pytest.mark.parametrize("m", [3, 5, 9])
+def test_climb_gives_up_where_no_strong_starter_exists(m):
+    with pytest.raises(UnsupportedSizeError):
+        factorization._strong_starter(m)
+
+
+def _corrupted(pair, rng):
+    """The pair with its second factorization relabeled, reshuffled or thinned."""
+    size = pair.first.size
+    matchings = [sorted(matching) for matching in pair.second.matchings]
+    kind = rng.randrange(3)
+    if kind == 0:
+        image = list(range(1, size + 1))
+        rng.shuffle(image)
+        matchings = [[factorization._edge(image[a - 1], image[b - 1])
+                      for a, b in matching] for matching in matchings]
+    elif kind == 1:
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(len(matchings)), 2)
+            if matchings[i]:
+                matchings[j].append(
+                    matchings[i].pop(rng.randrange(len(matchings[i]))))
+    else:
+        matchings = [[edge for edge in matching if rng.random() < 0.8]
+                     for matching in matchings]
+    second = OneFactorization(size, tuple(frozenset(m) for m in matchings))
+    return OrthogonalPair(pair.first, second)
+
+
+def test_verify_matches_the_pairwise_oracle_on_corrupted_pairs():
+    rng = random.Random(2024)
+    trials = failures = 0
+    for size in (8, 12, 14, 16, 20, 26):
+        pair = orthogonal_pair(size)
+        for _ in range(60):
+            corrupted = _corrupted(pair, rng)
+            got = verify_orthogonal_pair(corrupted)
+            want = pairwise_verify(corrupted)
+            assert (bool(got), got.violations, got.witness) == (
+                bool(want), want.violations, want.witness)
+            trials += 1
+            failures += not want
+    # Thinning never breaks orthogonality; relabeling almost always does.
+    assert trials / 3 < failures < trials
 
 
 # SHA-256 of dumps_pair(orthogonal_pair(size)), fixed since the pairs for

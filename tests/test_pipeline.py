@@ -294,6 +294,17 @@ def test_cli_orth(tmp_path):
     assert main(["orth", "--size", "6", "-o", str(out)]) == 2
 
 
+@pytest.mark.parametrize("argv, budget", [
+    (["orth", "--size", "100"], 5),
+    (["build-x", "--m", "50"], 10),
+])
+def test_cli_builds_past_size_48_in_bounded_time(tmp_path, argv, budget):
+    start = time.monotonic()
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 0
+    elapsed = time.monotonic() - start
+    assert elapsed < budget, f"{argv[0]} took {elapsed:.1f}s, budget {budget}s"
+
+
 def test_cli_sg_check(tmp_path):
     good = tmp_path / "line.json"
     good.write_text(json.dumps(points_to_json(

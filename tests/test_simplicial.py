@@ -17,8 +17,10 @@ from zncomplex.cli import main
 from zncomplex.errors import InvalidComplexError, ScxFormatError, SpurError
 from zncomplex.intlinalg import SnfResult, sparse_snf
 from zncomplex.report import Report
+from zncomplex.construction import build_w
 from zncomplex.simplicial import (
     MAX_FACE_VERTICES,
+    MAX_SCX_CLOSURE,
     Homology,
     SimplicialComplex,
     _boundary_columns,
@@ -604,3 +606,25 @@ def test_scx_face_lines_are_capped(tmp_path, capsys):
         assert captured.err == (f"error: face line has 40 vertices, more than "
                                 f"{MAX_FACE_VERTICES}\n")
         assert elapsed < 1, f"{argv[0]} took {elapsed:.2f}s"
+
+
+def test_scx_total_closure_is_capped(tmp_path, capsys):
+    # 100 distinct lines of 16 vertices would close to 6,553,500 faces.
+    lines = [" ".join(str(100 * i + k) for k in range(MAX_FACE_VERTICES))
+             for i in range(100)]
+    path = tmp_path / "many.scx"
+    path.write_text("scx 1\nv 10000\n" + "\n".join(lines) + "\n")
+    for argv in (["verify", str(path)], ["homology", str(path), "--dim", "1"]):
+        start = time.monotonic()
+        assert main(argv) == 2
+        elapsed = time.monotonic() - start
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: face lines close to more than "
+                                f"{MAX_SCX_CLOSURE} faces\n")
+        assert elapsed < 1, f"{argv[0]} took {elapsed:.2f}s"
+
+
+def test_scx_closure_cap_admits_the_largest_complex_the_cli_writes():
+    complex_, _ = build_w(100)
+    assert loads_scx(dumps_scx(complex_)) == complex_
