@@ -11,14 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import construction, factorization, pipeline, presentation, sg, simplicial
-from .errors import (
-    NotFreeAbelianError,
-    PipelineStageError,
-    SgHypothesisError,
-    SparsityError,
-    TooLongError,
-    ZnComplexError,
-)
+from .errors import CheckFailedError, ZnComplexError
 
 
 # The largest m and factorization size the commands accept, so that a huge
@@ -219,8 +212,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotFreeAbelianError, PipelineStageError, SgHypothesisError,
-            SparsityError, TooLongError) as exc:
+    except CheckFailedError as exc:
         print(f"check failed: {exc}")
         return 1
     except (OSError, ValueError, ZnComplexError) as exc:

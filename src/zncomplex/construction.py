@@ -2,14 +2,15 @@
 
 build_w(n) assembles the complex on n^2 + n + 1 vertices from one 7-vertex
 torus block per index pair; build_spurs partitions its two-index vertices
-into pairwise compatible spurs using an orthogonal pair of 1-factorizations;
-build_x collapses all of those spurs in one pass of simplicial.collapse_spurs,
-which checks each spur in the quotient left by the ones before it.
+into pairwise compatible spurs using an orthogonal pair of 1-factorizations,
+each spur the frozenset of its members, all based at u; build_x collapses
+all of those spurs in one pass of simplicial.collapse_spurs, which checks
+each spur in the quotient left by the ones before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import UnsupportedSizeError
@@ -58,19 +59,6 @@ def dumps_labeling(labeling: WnLabeling) -> str:
     return "\n".join(f"{name} {vid}" for name, vid in labeling.names()) + "\n"
 
 
-@dataclass(frozen=True)
-class SpurSet:
-    """A spur: base vertex u plus the member vertices collapsed onto one id.
-
-    Members are normally nonempty; the single degenerate exception is the
-    one-index odd case, where the deletion step empties both spurs and the
-    collapse just contributes its fresh vertex.
-    """
-
-    base: int
-    members: frozenset[int] = field(default_factory=frozenset)
-
-
 def build_w(n: int) -> tuple[SimplicialComplex, WnLabeling]:
     """Complex on n^2 + n + 1 vertices with first homology Z^n.
 
@@ -101,34 +89,24 @@ def build_w(n: int) -> tuple[SimplicialComplex, WnLabeling]:
     return complex_, WnLabeling(n=n, u=0, v=v, w=w)
 
 
-def build_spurs(n: int, parity: str, pair: OrthogonalPair,
-                labeling: WnLabeling) -> list[SpurSet]:
-    """The 4n - 2 compatible spurs induced by an orthogonal pair on [2n].
+def build_spurs(pair: OrthogonalPair,
+                labeling: WnLabeling) -> list[frozenset[int]]:
+    """The 4n - 2 compatible spurs at labeling.u induced by a pair on [2n].
 
     Matching M in factorization k yields the spur {w(i,j,k) : {i,j} in M}.
-    For the odd case the labeling comes from the complex one index smaller,
-    and members naming the deleted index are dropped.
+    The labeling is of the complex on 2n indices (the even case) or on
+    2n - 1 (the odd case); in the odd case the members naming index 2n have
+    no vertex and drop out.  In the one-index odd case (2n = 2) both spurs
+    come out empty, and each collapse just adds its fresh vertex.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    size = 2 * n
-    if pair.first.size != size:
-        raise ValueError(
-            f"pair has size {pair.first.size}, expected {size}")
-    expected_n = size if parity == "even" else size - 1
-    if labeling.n != expected_n:
-        raise ValueError(
-            f"labeling is for n={labeling.n}, expected {expected_n}")
-    spurs = []
-    for k, fact in ((1, pair.first), (2, pair.second)):
-        for matching in fact.matchings:
-            members = []
-            for a, b in sorted(matching):
-                key = (a, b, k)
-                if key in labeling.w:
-                    members.append(labeling.w[key])
-            spurs.append(SpurSet(base=labeling.u, members=frozenset(members)))
-    return spurs
+    size = pair.first.size
+    if labeling.n not in (size, size - 1):
+        raise ValueError(f"labeling is for n={labeling.n}, but a pair of size "
+                         f"{size} needs n={size} or n={size - 1}")
+    return [frozenset(labeling.w[a, b, k] for a, b in matching
+                      if (a, b, k) in labeling.w)
+            for k, fact in ((1, pair.first), (2, pair.second))
+            for matching in fact.matchings]
 
 
 def _split_m(m: int) -> tuple[int, str]:
@@ -151,8 +129,7 @@ class CollapseTrace:
     parity: str
     start: SimplicialComplex
     labeling: WnLabeling
-    pair: OrthogonalPair
-    spurs: list[SpurSet]
+    spurs: list[frozenset[int]]
     result: SimplicialComplex
     vertex_map: dict[int, int]
 
@@ -161,12 +138,10 @@ def build_x_trace(m: int) -> CollapseTrace:
     """Collapse every spur of the orthogonal-pair partition, in order."""
     n, parity = _split_m(m)
     complex_, labeling = build_w(m)
-    pair = orthogonal_pair(2 * n)
-    spurs = build_spurs(n, parity, pair, labeling)
-    result, vertex_map = collapse_spurs(complex_, labeling.u,
-                                        [s.members for s in spurs])
+    spurs = build_spurs(orthogonal_pair(2 * n), labeling)
+    result, vertex_map = collapse_spurs(complex_, labeling.u, spurs)
     return CollapseTrace(m=m, n=n, parity=parity, start=complex_,
-                         labeling=labeling, pair=pair, spurs=spurs,
+                         labeling=labeling, spurs=spurs,
                          result=result, vertex_map=vertex_map)
 
 

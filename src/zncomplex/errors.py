@@ -9,6 +9,10 @@ class ZnComplexError(Exception):
         self.witness = witness
 
 
+class CheckFailedError(ZnComplexError):
+    """A mathematical check failed; the CLI exits 1."""
+
+
 class InvalidComplexError(ZnComplexError):
     """A simplicial complex failed validation; the witness is the report."""
 
@@ -31,25 +35,25 @@ class UnsupportedSizeError(ZnComplexError):
     """Requested size falls in the excluded cases (no orthogonal pair)."""
 
 
-class TooLongError(ZnComplexError):
+class TooLongError(CheckFailedError):
     """A word does not reduce to at most three syllables; the witness is the word."""
 
     def __init__(self, word):
         super().__init__(f"word does not reduce to <= 3 syllables: {word!r}", word)
 
 
-class NotFreeAbelianError(ZnComplexError):
+class NotFreeAbelianError(CheckFailedError):
     """The abelianization has torsion; the witness is the torsion coefficients."""
 
     def __init__(self, torsion):
         super().__init__(f"abelianization has torsion {list(torsion)}", tuple(torsion))
 
 
-class SparsityError(ZnComplexError):
+class SparsityError(CheckFailedError):
     """A relation set violates a sparsity precondition; may carry a witness."""
 
 
-class SgHypothesisError(ZnComplexError):
+class SgHypothesisError(CheckFailedError):
     """The per-plane edge-count hypothesis fails; the witness is a vertex subset."""
 
     def __init__(self, witness):
@@ -57,7 +61,7 @@ class SgHypothesisError(ZnComplexError):
                          frozenset(witness))
 
 
-class PipelineStageError(ZnComplexError):
+class PipelineStageError(CheckFailedError):
     """A pipeline stage's precondition failed."""
 
     def __init__(self, stage, message, witness=None):

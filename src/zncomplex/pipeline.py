@@ -14,13 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .construction import CollapseTrace, build_x_trace
-from .errors import (
-    NotFreeAbelianError,
-    PipelineStageError,
-    SgHypothesisError,
-    SparsityError,
-    TooLongError,
-)
+from .errors import CheckFailedError, PipelineStageError
 from .intlinalg import echelon, sparse_snf
 from .presentation import (
     AbelianMap,
@@ -78,10 +72,13 @@ def run_upper(m: int) -> UpperReport:
         "vertex count",
         trace.result.vertex_count == expected,
         f"{trace.result.vertex_count} (expected {expected})"))
-    spur_ok = all(is_spur(trace.start, s.base, s.members) for s in trace.spurs)
-    checks.append(Check("every set is a spur", spur_ok,
-                        f"{len(trace.spurs)} spurs"))
-    compat = compatible_spurs(trace.start, [s.members for s in trace.spurs])
+    reports = (is_spur(trace.start, trace.labeling.u, s) for s in trace.spurs)
+    failed = next(((k, r) for k, r in enumerate(reports) if not r), None)
+    checks.append(Check(
+        "every set is a spur", failed is None,
+        f"{len(trace.spurs)} spurs" if failed is None
+        else f"spur {failed[0]}: {failed[1].violations[0]}"))
+    compat = compatible_spurs(trace.start, trace.spurs)
     checks.append(Check("spurs pairwise compatible", compat.ok,
                         "".join(compat.violations)))
     hw = homology_through(trace.start, 2)
@@ -176,9 +173,9 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
     presentation re-verifies its abelianization by a fresh Smith form.
     replace_sparse raises on a broken size identity and on an other-class
     relation inside a critical set, so neither is checked again here.  One
-    funnel turns a NotFreeAbelianError, TooLongError, SparsityError or
-    SgHypothesisError into a PipelineStageError naming the stage, with the
-    same witness; a stage's own PipelineStageError passes through as is.
+    funnel turns any other CheckFailedError into a PipelineStageError naming
+    the stage, with the same witness; a stage's own PipelineStageError
+    passes through as is.
     """
     c = Fraction(c)
     report = PipelineReport(c=c)
@@ -253,7 +250,9 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
             rel for j, rel in enumerate(p3.relations) if j not in stripped))
         _verified_rank(p4, stage, n - d)
         report.record(stage, p4, n - d, f"stripped {len(other_new)} trivial relations")
-    except (NotFreeAbelianError, SgHypothesisError, SparsityError, TooLongError) as exc:
+    except PipelineStageError:
+        raise
+    except CheckFailedError as exc:
         raise PipelineStageError(stage, str(exc), witness=exc.witness) from exc
 
     difference = len(p4.relations) - len(p4.generators)

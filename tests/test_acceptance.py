@@ -142,14 +142,14 @@ def test_criterion_05_spur_machinery():
             m = 2 * n if parity == "even" else 2 * n - 1
             complex_, labeling = build_w(m)
             pair = orthogonal_pair(2 * n)
-            spurs = build_spurs(n, parity, pair, labeling)
+            spurs = build_spurs(pair, labeling)
             ok = ok and len(spurs) == 4 * n - 2
-            members = [v for s in spurs for v in s.members]
+            members = [v for s in spurs for v in s]
             ok = ok and len(members) == len(set(members))
             ok = ok and set(members) == set(labeling.w.values())
             current = complex_
             base = labeling.u
-            pending = [set(s.members) for s in spurs]
+            pending = [set(s) for s in spurs]
             while pending:
                 for s in pending:
                     ok = ok and bool(is_spur(current, base, s))

@@ -149,24 +149,23 @@ def test_build_spurs_partition(parity, w_count):
     m = 2 * n if parity == "even" else 2 * n - 1
     complex_, labeling = build_w(m)
     pair = orthogonal_pair(2 * n)
-    spurs = build_spurs(n, parity, pair, labeling)
+    spurs = build_spurs(pair, labeling)
     assert len(spurs) == 4 * n - 2
-    members = [v for s in spurs for v in s.members]
+    members = [v for s in spurs for v in s]
     assert len(members) == w_count
     assert set(members) == set(labeling.w.values())
     for s in spurs:
-        assert is_spur(complex_, s.base, s.members)
+        assert is_spur(complex_, labeling.u, s)
     for i in range(len(spurs)):
         for j in range(i + 1, len(spurs)):
-            assert are_compatible(complex_, spurs[i].base,
-                                  spurs[i].members, spurs[j].members)
+            assert are_compatible(complex_, labeling.u, spurs[i], spurs[j])
 
 
 @pytest.mark.parametrize("m", [7, 8, 12, 16])
 def test_compatible_spurs_matches_pairwise_oracle(m):
     trace = build_x_trace(m)
     complex_, u = trace.start, trace.labeling.u
-    spurs = [s.members for s in trace.spurs]
+    spurs = trace.spurs
     assert compatible_spurs(complex_, spurs)
     assert all(are_compatible(complex_, u, a, b)
                for a, b in combinations(spurs, 2))
@@ -206,7 +205,7 @@ def test_build_spurs_size_mismatch():
     _, labeling = build_w(8)
     pair = orthogonal_pair(10)
     with pytest.raises(ValueError):
-        build_spurs(5, "even", pair, labeling)
+        build_spurs(pair, labeling)
 
 
 def test_spurs_survive_collapse():
@@ -215,10 +214,10 @@ def test_spurs_survive_collapse():
     n = 4
     complex_, labeling = build_w(2 * n)
     pair = orthogonal_pair(2 * n)
-    spurs = build_spurs(n, "even", pair, labeling)
-    current, mapping = collapse_spur(complex_, spurs[0].base, spurs[0].members)
-    remaining = [{mapping[v] for v in s.members} for s in spurs[1:]]
-    base = mapping[spurs[0].base]
+    spurs = build_spurs(pair, labeling)
+    current, mapping = collapse_spur(complex_, labeling.u, spurs[0])
+    remaining = [{mapping[v] for v in s} for s in spurs[1:]]
+    base = mapping[labeling.u]
     for members in remaining:
         assert is_spur(current, base, members)
     for i in range(len(remaining)):
@@ -257,8 +256,8 @@ def test_collapse_order_independence():
         order = list(range(len(trace.spurs)))
         rng.shuffle(order)
         current = trace.start
-        base = trace.spurs[0].base
-        pending = [set(trace.spurs[i].members) for i in order]
+        base = trace.labeling.u
+        pending = [set(trace.spurs[i]) for i in order]
         for idx, members in enumerate(pending):
             current, step = collapse_spur(current, base, members)
             base = step[base]
@@ -276,7 +275,7 @@ def test_trace_vertex_map_covers_originals():
     assert set(trace.vertex_map.values()) <= set(range(trace.result.vertex_count))
     # every spur lands on a single final vertex
     for spur in trace.spurs:
-        images = {trace.vertex_map[v] for v in spur.members}
+        images = {trace.vertex_map[v] for v in spur}
         assert len(images) <= 1
 
 
@@ -331,7 +330,7 @@ def collapse_one_at_a_time(complex_, u, spurs):
 def test_one_pass_collapse_matches_one_at_a_time(m):
     trace = build_x_trace(m)
     expected, expected_map = collapse_one_at_a_time(
-        trace.start, trace.labeling.u, [s.members for s in trace.spurs])
+        trace.start, trace.labeling.u, trace.spurs)
     assert trace.result.faces == expected.faces
     assert trace.result.vertex_count == expected.vertex_count
     assert trace.vertex_map == expected_map
@@ -341,7 +340,7 @@ def test_one_pass_collapse_in_shuffled_order_matches_one_at_a_time():
     trace = build_x_trace(9)
     rng = random.Random(5)
     for _ in range(3):
-        spurs = [s.members for s in trace.spurs]
+        spurs = list(trace.spurs)
         rng.shuffle(spurs)
         assert (collapse_spurs(trace.start, trace.labeling.u, spurs)
                 == collapse_one_at_a_time(trace.start, trace.labeling.u, spurs))

@@ -30,7 +30,7 @@ from zncomplex.presentation import (
 )
 from zncomplex.report import Report
 from zncomplex.sg import config
-from zncomplex.simplicial import read_scx
+from zncomplex.simplicial import is_spur, read_scx
 
 
 @pytest.mark.parametrize("m", [1, 2, 8])
@@ -45,13 +45,28 @@ def test_run_upper_names_the_first_incompatible_pair(monkeypatch):
     trace = zncomplex.construction.build_x_trace(8)
     spurs = list(trace.spurs)
     spurs[3] = spurs[1]  # the same spur twice: spurs 1 and 3 overlap
-    shared = min(spurs[1].members)
+    shared = min(spurs[1])
     monkeypatch.setattr(zncomplex.pipeline, "build_x_trace",
                         lambda m: dataclasses.replace(trace, spurs=spurs))
     report = run_upper(8)
     assert not report.ok
     assert (f"[FAIL] spurs pairwise compatible: spurs 1 and 3 share vertex "
             f"{shared}\n") in report.render()
+
+
+def test_run_upper_names_the_first_non_spur(monkeypatch):
+    trace = zncomplex.construction.build_x_trace(8)
+    u, w = trace.labeling.u, trace.labeling.w
+    spurs = list(trace.spurs)
+    # Twins share a torus block, so they are adjacent: no spur holds both.
+    spurs[5] = frozenset({w[1, 2, 1], w[1, 2, 2]})
+    spurs[9] = frozenset({w[1, 3, 1], w[1, 3, 2]})
+    first = is_spur(trace.start, u, spurs[5]).violations[0]
+    monkeypatch.setattr(zncomplex.pipeline, "build_x_trace",
+                        lambda m: dataclasses.replace(trace, spurs=spurs))
+    report = run_upper(8)
+    assert not report.ok
+    assert f"[FAIL] every set is a spur: spur 5: {first}\n" in report.render()
 
 
 def test_run_lower_intro():
@@ -79,6 +94,15 @@ def test_run_lower_torsion_fails_early():
         run_lower(Presentation(("g",), ((("g", 2),),)))
     assert info.value.stage == "abelianize"
     assert info.value.witness == (2,)
+
+
+def test_run_lower_passes_a_stage_error_through_as_is():
+    # Relation a = 1 kills the one generator: rank 0, a stage's own error.
+    with pytest.raises(PipelineStageError) as info:
+        run_lower(Presentation(("a",), ((("a", 1),),)))
+    assert str(info.value) == ("stage abelianize: rank 0: the threshold "
+                               "c*k/n needs n >= 1")
+    assert info.value.__cause__ is None
 
 
 def test_run_lower_rejects_long_relations():
@@ -128,6 +152,7 @@ def test_every_toolkit_error_exposes_witness():
     report = Report.of(["bad"], witness=7)
     made = {
         errors.ZnComplexError("plain"): None,
+        errors.CheckFailedError("check"): None,
         errors.ScxFormatError("bad line"): None,
         errors.UnsupportedSizeError("size 4"): None,
         errors.SparsityError("not sparse", witness=(1, 2)): (1, 2),
@@ -143,6 +168,46 @@ def test_every_toolkit_error_exposes_witness():
     assert {type(exc) for exc in made} == classes
     for exc, witness in made.items():
         assert exc.witness == witness, type(exc).__name__
+
+
+REPORT = Report.of(["bad"], witness=7)
+# One instance of every class in errors, with the exit code cli.main gives it.
+EXIT_CODES = [
+    (errors.ZnComplexError("plain"), 2),
+    (errors.ScxFormatError("bad line"), 2),
+    (errors.UnsupportedSizeError("size 4"), 2),
+    (errors.InvalidComplexError(REPORT), 2),
+    (errors.SpurError(REPORT), 2),
+    (errors.CheckFailedError("check"), 1),
+    (errors.SparsityError("not sparse", witness=(1, 2)), 1),
+    (errors.TooLongError((("a", 1), ("b", 1))), 1),
+    (errors.NotFreeAbelianError([2, 4]), 1),
+    (errors.SgHypothesisError([2, 0]), 1),
+    (errors.PipelineStageError("minimize", "bad", witness=0), 1),
+]
+
+
+def test_exit_code_table_covers_every_error_class():
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.ZnComplexError)}
+    assert {type(exc) for exc, _ in EXIT_CODES} == classes
+    for exc, code in EXIT_CODES:
+        assert (code == 1) == isinstance(exc, errors.CheckFailedError)
+
+
+@pytest.mark.parametrize("exc, code", EXIT_CODES,
+                         ids=[type(exc).__name__ for exc, _ in EXIT_CODES])
+def test_cli_exit_code_of_every_error_class(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(zncomplex.cli, "_cmd_bounds", fail)
+    assert main(["bounds", "--n", "3"]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert (captured.out, captured.err) == (f"check failed: {exc}\n", "")
+    else:
+        assert (captured.out, captured.err) == ("", f"error: {exc}\n")
 
 
 def brute_closure(phi, generators, kept):
