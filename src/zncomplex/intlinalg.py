@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, lcm
 
 
@@ -314,18 +315,21 @@ def plane_key(rows) -> tuple[int, ...]:
     rows span exactly a plane, that is rank two over Q.
 
     Only the coordinates where some row is nonzero enter the products; the
-    other entries of p are zero and are filled in at the end.
+    other entries of p are zero and are filled in at the end.  The list of
+    used-coordinate pairs (i, j), i < j, is built once; every product and
+    the scatter into the key read it.
     """
     rows = [tuple(r) for r in rows]
     n = len(rows[0]) if rows else 0
-    used = [i for i, column in enumerate(zip(*rows)) if any(column)]
+    used = list(compress(range(n), map(any, zip(*rows))))
     rows = [[r[i] for i in used] for r in rows if any(r)]
     if rows:
         u = rows[0]
         s = len(used)
+        pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
         p = None
         for w in rows[1:]:
-            q = [u[i] * w[j] - u[j] * w[i] for i in range(s) for j in range(i + 1, s)]
+            q = [u[i] * w[j] - u[j] * w[i] for i, j in pairs]
             if p is None:
                 if any(q):
                     p = q
@@ -338,8 +342,8 @@ def plane_key(rows) -> tuple[int, ...]:
             if s == n:
                 return p
             key = [0] * (n * (n - 1) // 2)
-            pairs = ((i, j) for a, i in enumerate(used) for j in used[a + 1:])
             for (i, j), x in zip(pairs, p):
+                i, j = used[i], used[j]
                 key[i * (2 * n - i - 1) // 2 + j - i - 1] = x
             return tuple(key)
     raise ValueError("no two of the rows are linearly independent")

@@ -137,8 +137,17 @@ class PipelineReport:
         return "\n".join(lines) + "\n"
 
 
-def _verified_rank(pres: Presentation, stage: str, expected: int) -> None:
-    """Check that pres presents Z^expected, by a Smith form without transforms."""
+def _verified_rank(pres: Presentation, stage: str, expected: int,
+                   last: tuple[Presentation, int] | None) -> tuple[Presentation, int]:
+    """Check that pres presents Z^expected, by a Smith form without transforms.
+
+    last is what the previous call returned: the presentation it verified,
+    and at which rank.  The same object at the same rank has passed this
+    check already, so nothing runs; any other presentation, even an equal
+    one, gets its Smith form.
+    """
+    if last is not None and last[0] is pres and last[1] == expected:
+        return last
     snf = sparse_snf(exponent_columns(pres), len(pres.generators))
     if snf.torsion:
         raise PipelineStageError(stage, f"torsion appeared: {snf.torsion}",
@@ -147,6 +156,7 @@ def _verified_rank(pres: Presentation, stage: str, expected: int) -> None:
     if rank != expected:
         raise PipelineStageError(
             stage, f"free rank {rank}, expected {expected}")
+    return pres, expected
 
 
 def _span_closure(phi: AbelianMap, generators, kept) -> list[str]:
@@ -169,8 +179,12 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
     the image hypergraph at threshold c*k/n, grow the surviving generator
     set until it is span-closed, split the relations into sparse / extra /
     other, rebase the critical sets, kill the surviving subspace, and strip
-    the trivialized other-class relations.  Each stage that rewrites the
-    presentation re-verifies its abelianization by a fresh Smith form.
+    the trivialized other-class relations.  minimize, replace-sparse,
+    replace-subspace and strip-other each re-verify the abelianization of
+    the presentation they leave by a fresh Smith form, unless it is the
+    very object the previous check passed at the same rank: at d = 0,
+    replace_subspace returns its input and strip-other has nothing to
+    strip, so only minimize and replace-sparse run one.
     replace_sparse raises on a broken size identity and on an other-class
     relation inside a critical set, so neither is checked again here.  One
     funnel turns any other CheckFailedError into a PipelineStageError naming
@@ -189,7 +203,7 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
 
         stage = "minimize"
         p1, phi1 = minimize(pres, phi)
-        _verified_rank(p1, stage, n)
+        verified = _verified_rank(p1, stage, n, None)
         k = len(p1.generators)
         report.record(stage, p1, n)
 
@@ -230,13 +244,13 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
         stage = "replace-sparse"
         sparse_result = replace_sparse(p1, phi1, SparsityPartition(r_s, r_e, r_o))
         p2, phi2 = sparse_result.presentation, sparse_result.phi
-        _verified_rank(p2, stage, n)
+        verified = _verified_rank(p2, stage, n, verified)
         gap, chain = len(p2.relations) - len(p2.generators), len(r_s) + len(r_o) - k
         report.record(stage, p2, n, f"|R|-|S| = {gap} = |R_s|+|R_o|-|S| = {chain}")
 
         stage = "replace-subspace"
         p3 = replace_subspace(p2, phi2, s_prime)
-        _verified_rank(p3, stage, n - d)
+        verified = _verified_rank(p3, stage, n - d, verified)
         report.record(stage, p3, n - d, f"rank dropped by d = {d}")
 
         stage = "strip-other"
@@ -246,9 +260,11 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
                 raise PipelineStageError(
                     stage, f"relation {j} should have trivialized", witness=j)
         stripped = set(other_new)
-        p4 = Presentation(p3.generators, tuple(
-            rel for j, rel in enumerate(p3.relations) if j not in stripped))
-        _verified_rank(p4, stage, n - d)
+        p4 = p3
+        if stripped:
+            p4 = Presentation(p3.generators, tuple(
+                rel for j, rel in enumerate(p3.relations) if j not in stripped))
+        _verified_rank(p4, stage, n - d, verified)
         report.record(stage, p4, n - d, f"stripped {len(other_new)} trivial relations")
     except PipelineStageError:
         raise

@@ -112,7 +112,15 @@ def normalize(syllables) -> NormalForm:
     The exponent-sum vector is preserved and the result is independent of
     the order the rules fire.  Raises TooLongError if the fixpoint keeps
     more than three syllables.
+
+    A tuple of at most three tuple syllables with distinct generators and
+    nonzero exponents is already that fixpoint, so it is returned as is;
+    only other words go through the rules.
     """
+    if type(syllables) is tuple and len(syllables) <= 3:
+        gens = {g for s in syllables if type(s) is tuple for g, e in (s,) if e}
+        if len(gens) == len(syllables):
+            return NormalForm(syllables)
     syl = _clean_word(syllables)
     while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
         syl = _clean_word(((syl[0][0], syl[0][1] + syl[-1][1]),) + syl[1:-1])
@@ -581,16 +589,26 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
     intlinalg.coordinates gives each member g its (b1, b2) with phi(g) =
     b1 phi(h1) + b2 phi(h2).  A third generator h* enters too, with the
     relations g^-1 h1^b1 h2^b2 (one per g in S''), h*^-1 h1 h2 and
-    h*^-1 h2 h1.  The new names t<k> come from one counter.  One pass
-    decides which relations lie inside some critical set: every
+    h*^-1 h2 h1.  The new names t<k> come from one counter.  One index
+    maps each generator to every critical set that holds it (sets of
+    different planes may share a generator).  A relation lies inside some
+    critical set exactly when it lies inside one that holds any one of its
+    generators, so one pass over the relations decides it: every
     extra-class relation must, no other-class relation may, and exactly
-    those leave.  critical_collection checks the supports.  The identity
-    |R_new| - |S_new| = |R_sparse| + |R_other| - |S| holds exactly.
+    those leave.  One pass over the generators, through the same index,
+    lists each set's members in generator order.  critical_collection
+    checks the supports.  The identity |R_new| - |S_new| = |R_sparse| +
+    |R_other| - |S| holds exactly.
     """
     partition.check_covers(len(pres.relations))
     collection = critical_collection(pres, phi, partition.sparse)
-    inside = {i for i in range(len(pres.relations))
-              if any(map(pres.support(i).__le__, collection))}
+    holding: dict[str, list[int]] = {}  # generator -> positions in collection
+    for c, member in enumerate(collection):
+        for g in member:
+            holding.setdefault(g, []).append(c)
+    inside = {i for i, support in enumerate(relation_supports(pres))
+              if any(support <= collection[c]
+                     for c in holding.get(next(iter(support)), ()))}
     for idx in partition.extra:
         if idx not in inside:
             raise SparsityError(
@@ -605,8 +623,11 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
     images = dict(phi.images)
     added_relations: list[Word] = []
     fresh = _fresh_names(pres.generators)
-    for member in collection:
-        member_gens = [g for g in pres.generators if g in member]
+    members: list[list[str]] = [[] for _ in collection]
+    for g in pres.generators:
+        for c in holding.get(g, ()):
+            members[c].append(g)
+    for member, member_gens in zip(collection, members):
         basis, _, _ = echelon([images[g] for g in member_gens])
         if len(basis) != 2:
             raise SparsityError(
@@ -664,9 +685,12 @@ def replace_subspace(pres: Presentation, phi: AbelianMap,
     The returned presentation presents Z^(n-d); its abelianization is not
     computed here.  When the images of phi do not generate Z^n, some x_i
     is the image of no word, and PipelineStageError carries the first such
-    i as the witness.
+    i as the witness.  An empty subset kills nothing, so the input object
+    itself is returned, unrewritten.
     """
     wanted = set(generators)
+    if not wanted:
+        return pres
     subset = [g for g in pres.generators if g in wanted]
     for g in generators:
         if g not in pres.generators:

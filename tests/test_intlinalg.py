@@ -369,14 +369,38 @@ def rows_near_a_plane(draw):
     return rows
 
 
+@st.composite
+def sparse_rows(draw):
+    """2-4 rows in Z^7..Z^48 with at most 3 nonzero coordinates each.
+
+    These are the shapes of the lower pipeline's plane keys, where most
+    coordinates are unused and the key is scattered from the used ones.
+    Half the time each row is drawn on the coordinates of the first, so
+    rows in one plane and on one line are common too.
+    """
+    n = draw(st.integers(7, 48))
+    coordinate = st.integers(0, n - 1)
+    first = draw(st.lists(coordinate, min_size=1, max_size=3, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(2, 4))):
+        support = first if draw(st.booleans()) else draw(
+            st.lists(coordinate, max_size=3, unique=True))
+        row = [0] * n
+        for i in support:
+            row[i] = draw(st.integers(-3, 3))
+        rows.append(row)
+    return rows
+
+
 @settings(max_examples=300, deadline=None)
-@given(rows_near_a_plane())
-def test_plane_key_equals_two_step_oracle(rows):
-    if lattice_oracle.brute_rank(rows) == 2:
-        assert plane_key(rows) == lattice_oracle.plane_key(rows)
-    else:
-        with pytest.raises(ValueError):
-            plane_key(rows)
+@given(rows_near_a_plane(), sparse_rows())
+def test_plane_key_equals_two_step_oracle(near, sparse):
+    for rows in (near, sparse):
+        if lattice_oracle.brute_rank(rows) == 2:
+            assert plane_key(rows) == lattice_oracle.plane_key(rows)
+        else:
+            with pytest.raises(ValueError):
+                plane_key(rows)
 
 
 def test_plane_key_rejects_rank_three():

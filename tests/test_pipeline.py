@@ -19,7 +19,13 @@ from zncomplex import errors
 from zncomplex.cli import main
 from zncomplex.construction import build_x
 from zncomplex.errors import PipelineStageError
-from zncomplex.pipeline import _span_closure, report_bounds, run_lower, run_upper
+from zncomplex.pipeline import (
+    _span_closure,
+    _verified_rank,
+    report_bounds,
+    run_lower,
+    run_upper,
+)
 from zncomplex.presentation import (
     AbelianMap,
     Presentation,
@@ -128,6 +134,59 @@ def test_run_lower_other_relation_inside_a_critical_set(monkeypatch):
     assert info.value.stage == "replace-sparse"
     assert info.value.witness == 2
     assert "other-class relation 2 lies inside a critical set" in str(info.value)
+
+
+def spy_on_checks(monkeypatch):
+    """The generator count of every presentation _verified_rank reduces."""
+    checked = []
+    real = zncomplex.pipeline.sparse_snf
+
+    def spy(columns, row_count):
+        checked.append(row_count)
+        return real(columns, row_count)
+
+    monkeypatch.setattr(zncomplex.pipeline, "sparse_snf", spy)
+    return checked
+
+
+def test_run_lower_checks_each_changed_presentation_once(monkeypatch):
+    checked = spy_on_checks(monkeypatch)
+    # d = 0: replace-subspace and strip-other hand on the object that the
+    # replace-sparse check passed, so only minimize and replace-sparse run.
+    assert run_lower(extract_presentation(build_x(12), 0), 24).ok
+    assert checked == [78, 276]
+    checked.clear()
+    # d = n: every stage from minimize on leaves a new presentation.
+    assert run_lower(extract_presentation(build_x(10), 0), Fraction(1, 8)).ok
+    assert checked == [55, 55, 0, 0]
+
+
+def test_run_lower_checks_an_equal_but_new_presentation(monkeypatch):
+    checked = spy_on_checks(monkeypatch)
+    real = zncomplex.pipeline.replace_subspace
+
+    def copy(pres, phi, generators):
+        out = real(pres, phi, generators)
+        return Presentation(out.generators, out.relations)
+
+    monkeypatch.setattr(zncomplex.pipeline, "replace_subspace", copy)
+    assert run_lower(extract_presentation(build_x(12), 0), 24).ok
+    assert checked == [78, 276, 276]
+
+
+def test_verified_rank_skips_only_the_object_it_last_verified(monkeypatch):
+    checked = spy_on_checks(monkeypatch)
+    pres = standard_zn(3, "intro3")
+    last = _verified_rank(pres, "stage", 3, None)
+    assert last == (pres, 3) and checked == [6]
+    assert _verified_rank(pres, "stage", 3, last) is last
+    assert checked == [6]
+    copy = Presentation(pres.generators, pres.relations)
+    assert _verified_rank(copy, "stage", 3, last) == (copy, 3)
+    assert checked == [6, 6]
+    with pytest.raises(PipelineStageError, match="free rank 3, expected 2"):
+        _verified_rank(pres, "stage", 2, last)
+    assert checked == [6, 6, 6]
 
 
 # SHA-256 of run_lower(extract_presentation(build_x(m), 0), c).render().

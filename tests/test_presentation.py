@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import word_oracle
 import zncomplex
 from abelian_oracle import dense_abelian_rank, exponent_matrix
 from lattice_oracle import is_parallel, smith_diagonal
@@ -86,6 +87,44 @@ def test_normalize_idempotent_and_exponent_preserving(syllables):
         return
     assert normalize(nf.word).word == nf.word
     assert exponent_sums(nf.word) == exponent_sums(syllables)
+
+
+SHAPES = {
+    "tuples": lambda syl: tuple(syl),
+    "tuple of lists": lambda syl: tuple(list(s) for s in syl),
+    "lists of lists": lambda syl: [list(s) for s in syl],
+    "generator": lambda syl: (s for s in syl),
+}
+
+
+@st.composite
+def shaped_words(draw):
+    """0-6 syllables over four generators, in one of the SHAPES.
+
+    Few names make repeated and adjacent generators common, exponents may
+    be zero, and half the time the word closes on its first generator, so
+    the rotation merges.
+    """
+    syllables = draw(st.lists(
+        st.tuples(st.sampled_from("abcd"), st.integers(-3, 3)), max_size=6))
+    if 0 < len(syllables) < 6 and draw(st.booleans()):
+        syllables.append((syllables[0][0], draw(st.integers(-3, 3))))
+    return syllables, draw(st.sampled_from(sorted(SHAPES)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_words())
+def test_normalize_equals_the_rule_by_rule_rewrite(shaped):
+    syllables, shape = shaped
+    try:
+        expected = word_oracle.normal_form(syllables)
+    except TooLongError as exc:
+        with pytest.raises(TooLongError) as info:
+            normalize(SHAPES[shape](syllables))
+        assert info.value.witness == exc.witness
+        return
+    # A list syllable left in the word would compare unequal to a tuple.
+    assert normalize(SHAPES[shape](syllables)).word == expected
 
 
 def test_extract_hollow_triangle():

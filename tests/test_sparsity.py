@@ -583,17 +583,19 @@ def plane_cramer_triple(images, triple):
     return tuple(zip(triple, (x // divisor, y // divisor, z // divisor)))
 
 
-def multi_plane_case(rng):
+def multi_plane_case(rng, hub=False):
     """Generators in three planes of Z^4, two of which share the generator s.
 
     Each plane gets 3..6 generators of distinct directions and random
     triples among them, a quarter of them repeats.  s has image e1 and
-    coordinates (1, 0) in both planes whose first basis vector is e1, so
-    relations, and critical sets, of both planes can hold it.
+    coordinates (1, 0) in every plane whose first basis vector is e1, so
+    relations, and critical sets, of each such plane can hold it.  With
+    hub, all three planes (e1, e2), (e1, e3) and (e1, e4) share s.
     """
     e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     images, relations = {"s": ((e[0], e[1]), (1, 0))}, []
-    for basis in ((e[0], e[1]), (e[0], e[2]), (e[2], e[3])):
+    last = (e[0], e[3]) if hub else (e[2], e[3])
+    for basis in ((e[0], e[1]), (e[0], e[2]), last):
         shared = basis[0] == e[0]
         directions, count = {(1, 0)} if shared else set(), rng.randint(3, 6)
         while len(directions) < count:
@@ -631,8 +633,14 @@ def test_replace_sparse_drops_exactly_the_relations_inside_a_critical_set():
     rng = random.Random(8128)
     cases = [multi_plane_case(rng) for _ in range(60)]
     cases += [minimized_extract(m) for m in (7, 8)]
+    # s in the critical sets of three planes: an index that keeps one set
+    # per generator misses relations inside all but one of them.
+    hub_rng = random.Random(1729)
+    cases += [multi_plane_case(hub_rng, hub=True) for _ in range(30)]
     outcomes = {"dropped": 0, "kept": 0, "extra": 0, "other": 0, "overlapping": 0}
+    three_planes = 0
     for pres, phi in cases:
+        shared = False
         supports = [normalize(rel).support for rel in pres.relations]
         maximal = maximal_sparse_subset(pres, phi)
         subsets = [maximal] + [tuple(i for i in maximal if rng.random() < 0.8)
@@ -666,13 +674,18 @@ def test_replace_sparse_drops_exactly_the_relations_inside_a_critical_set():
                 outcomes["kept"] += len(pres.relations) - len(dropped)
                 outcomes["overlapping"] += any(
                     a & b for a, b in combinations(collection, 2))
+                shared = shared or any(
+                    sum(g in member for member in collection) >= 3
+                    for g in pres.generators)
+        three_planes += shared
     assert min(outcomes.values()) >= 30, outcomes
+    assert three_planes >= 10, three_planes
 
 
 def test_replace_subspace_examples():
     pres = standard_zn(2, "commutator")
     phi = abelian_images(pres)
-    assert replace_subspace(pres, phi, []) == pres
+    assert replace_subspace(pres, phi, []) is pres
     dropped = replace_subspace(pres, phi, ["g1"])
     assert "g1" not in dropped.generators
     assert abelian_images(dropped).rank == 1
