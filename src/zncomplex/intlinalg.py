@@ -25,8 +25,8 @@ everything else calls one of them:
   for ranks over Q: sg's span dimensions, and presentation.subset_dimension,
   which names the dimension in minimize's and relation_planes' errors.
 - plane_key is the one rank-two test and plane key: presentation's
-  AbelianMap.plane (for minimize and relation_planes) and sg.sg_reduce
-  call it alone.
+  AbelianMap.plane (for minimize and relation_planes), sg.sg_reduce and
+  sg.special_lines, which keys sg-check's lines, call it alone.
 - primitive_direction keys lines for presentation.minimize and sg.
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import gcd, lcm
+from math import gcd
 
 
 def primitive_direction(vector) -> tuple[int, ...]:
@@ -214,19 +214,8 @@ def _smith_diagonal(rows) -> tuple[int, ...]:
 
 
 def rank_of_rows(rows) -> int:
-    """Rank over Q of a matrix given by rows of ints or Fractions.
-
-    A row that is not all ints is scaled to integers by the lcm of its
-    denominators, which does not change the rank, and echelon counts the
-    basis rows.
-    """
-    integral = []
-    for row in rows:
-        if not all(type(x) is int for x in row):
-            scale = lcm(*(x.denominator for x in row))
-            row = [int(x * scale) for x in row]
-        integral.append(row)
-    return len(echelon(integral)[0])
+    """Rank over Q of a matrix given by rows: the count of echelon's basis rows."""
+    return len(echelon(rows)[0])
 
 
 def echelon(rows):

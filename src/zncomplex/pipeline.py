@@ -184,7 +184,8 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
     the presentation they leave by a fresh Smith form, unless it is the
     very object the previous check passed at the same rank: at d = 0,
     replace_subspace returns its input and strip-other has nothing to
-    strip, so only minimize and replace-sparse run one.
+    strip, so only minimize and replace-sparse run one, and with no
+    critical set replace_sparse returns its input too.
     replace_sparse raises on a broken size identity and on an other-class
     relation inside a critical set, so neither is checked again here.  One
     funnel turns any other CheckFailedError into a PipelineStageError naming

@@ -276,10 +276,7 @@ def abelian_images(pres: Presentation) -> AbelianMap:
 
 def subset_dimension(phi: AbelianMap, generators) -> int:
     """Rational rank of the images of the given generators."""
-    rows = [phi.vector(g) for g in generators]
-    if not rows:
-        return 0
-    return rank_of_rows(rows)
+    return rank_of_rows([phi.vector(g) for g in generators])
 
 
 def relations_on(pres: Presentation, rel_indices, generators) -> tuple[int, ...]:
@@ -598,7 +595,8 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
     those leave.  One pass over the generators, through the same index,
     lists each set's members in generator order.  critical_collection
     checks the supports.  The identity |R_new| - |S_new| = |R_sparse| +
-    |R_other| - |S| holds exactly.
+    |R_other| - |S| holds exactly.  An empty collection rebases nothing: the
+    inputs themselves come back, with the identity relation map.
     """
     partition.check_covers(len(pres.relations))
     collection = critical_collection(pres, phi, partition.sparse)
@@ -619,6 +617,8 @@ def replace_sparse(pres: Presentation, phi: AbelianMap,
             raise SparsityError(
                 f"other-class relation {idx} lies inside a critical set, "
                 f"which the accounting forbids", witness=idx)
+    if not collection:
+        return ReplaceSparseResult(pres, phi, tuple(range(len(pres.relations))), ())
     generators = list(pres.generators)
     images = dict(phi.images)
     added_relations: list[Word] = []

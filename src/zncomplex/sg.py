@@ -1,11 +1,12 @@
 """Exact point-line incidence checks and the hypergraph pruning reduction.
 
-Points are exact integer or rational vectors; there is no floating point
-anywhere in this module.  Linear-mode configurations (nonzero points,
-pairwise spanning distinct lines through the origin) support the pruning
-reduction; projectivization turns coplanarity through the origin into
-collinearity on an affine hyperplane, whose normal is the moment-curve
-vector (1, t, t^2, ..) at the least integer t >= 0 orthogonal to no point.
+Points are integer vectors: PointConfig rejects any coordinate that is not
+an int, and there is no floating point anywhere in this module.
+Linear-mode configurations (nonzero points, pairwise spanning distinct lines
+through the origin) support the pruning reduction.  intlinalg.plane_key keys
+each edge's plane, and the line through points p and q as the plane of
+(1, p) and (1, q), which meets the hyperplane of first coordinate 1 in
+exactly that line.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
-from math import lcm
+from itertools import combinations
 
 from .errors import SgHypothesisError
 from .hyperforest import hyperforest_report
@@ -25,17 +25,18 @@ from .report import Report
 @dataclass(frozen=True)
 class PointConfig:
     dimension: int
-    points: tuple[tuple, ...]
+    points: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         for p in self.points:
+            if any(type(x) is not int for x in p):
+                raise ValueError(f"point {list(p)!r} is not a list of integers")
             if len(p) != self.dimension:
                 raise ValueError(f"point {p} does not have dimension {self.dimension}")
 
 
 def config(points, dimension: int | None = None) -> PointConfig:
-    pts = tuple(tuple(x if isinstance(x, Fraction) else int(x) for x in p)
-                for p in points)
+    pts = tuple(map(tuple, points))
     if dimension is None:
         if not pts:
             raise ValueError("dimension required for an empty configuration")
@@ -44,22 +45,18 @@ def config(points, dimension: int | None = None) -> PointConfig:
 
 
 def linear_mode_report(cfg: PointConfig) -> Report:
-    """Nonzero integer points, pairwise distinct lines through the origin.
+    """Nonzero points, pairwise distinct lines through the origin.
 
-    Points are bucketed by primitive_direction (rational ones scaled to
-    integers first); each pair in a bucket is reported, in index order.
+    Points are bucketed by primitive_direction; each pair in a bucket is
+    reported, in index order.
     """
     violations = []
     lines: dict[tuple[int, ...], list[int]] = {}
     for i, p in enumerate(cfg.points):
-        if any(isinstance(x, Fraction) and x.denominator != 1 for x in p):
-            violations.append(f"point {i} is not integral")
         if not any(p):
             violations.append(f"point {i} is zero")
             continue
-        scale = lcm(*(x.denominator for x in p))
-        lines.setdefault(primitive_direction([int(x * scale) for x in p]),
-                         []).append(i)
+        lines.setdefault(primitive_direction(p), []).append(i)
     pairs = sorted(pair for members in lines.values()
                    for pair in combinations(members, 2))
     violations.extend(f"points {i} and {j} share a 1-dimensional subspace"
@@ -67,50 +64,14 @@ def linear_mode_report(cfg: PointConfig) -> Report:
     return Report.of(violations)
 
 
-def projectivize(cfg: PointConfig) -> tuple[PointConfig, tuple[int, ...]]:
-    """Scale each point onto the affine hyperplane {x : x . normal = 1}.
-
-    The normal is the moment-curve vector (1, t, t^2, ..) for the first
-    integer t >= 0 orthogonal to none of the points.  A nonzero point p
-    makes p . normal a nonzero polynomial in t of degree below the
-    dimension, so at most (dimension - 1) * |V| values of t fail and the
-    search ends.  Three points lie in a plane through the origin exactly
-    when their images are collinear, and distinct lines through the origin
-    give distinct images.
-    """
-    report = linear_mode_report(cfg)
-    if not report:
-        raise ValueError("; ".join(report.violations))
-    for t in count():
-        normal = tuple(t ** i for i in range(cfg.dimension))
-        dots = [sum(x * y for x, y in zip(normal, p)) for p in cfg.points]
-        if all(dots):
-            break
-    points = tuple(tuple(Fraction(x, dot) for x in p)
-                   for p, dot in zip(cfg.points, dots))
-    return PointConfig(cfg.dimension, points), normal
-
-
-def _line_key(p, q):
-    delta = [Fraction(b) - Fraction(a) for a, b in zip(p, q)]
-    scale = lcm(*(x.denominator for x in delta))
-    direction = primitive_direction([int(x * scale) for x in delta])
-    k = next(i for i, x in enumerate(direction) if x)
-    t = Fraction(p[k], direction[k])
-    anchor = tuple(Fraction(x) - t * d for x, d in zip(p, direction))
-    return anchor, direction
-
-
 def special_lines(cfg: PointConfig) -> dict:
-    """Lines through at least three points, as {canonical line: point indices}."""
+    """Lines through at least three points, as {line key: point indices}."""
     lines: dict = {}
-    n = len(cfg.points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cfg.points[i] == cfg.points[j]:
-                raise ValueError(f"points {i} and {j} coincide")
-            key = _line_key(cfg.points[i], cfg.points[j])
-            lines.setdefault(key, set()).update((i, j))
+    lifted = [(1,) + p for p in cfg.points]
+    for (i, p), (j, q) in combinations(enumerate(lifted), 2):
+        if p == q:
+            raise ValueError(f"points {i} and {j} coincide")
+        lines.setdefault(plane_key([p, q]), set()).update((i, j))
     return {k: v for k, v in lines.items() if len(v) >= 3}
 
 
@@ -226,7 +187,7 @@ def sg_reduce(cfg: PointConfig, graph: Hypergraph3, threshold) -> SgReduction:
     by_plane: dict[tuple, list[frozenset[int]]] = {}
     for e in graph.edges:
         try:
-            key = plane_key([[int(x) for x in cfg.points[v]] for v in sorted(e)])
+            key = plane_key([cfg.points[v] for v in sorted(e)])
         except ValueError:
             raise ValueError(
                 f"edge {sorted(e)} does not span a 2-dimensional subspace") from None
@@ -237,8 +198,7 @@ def sg_reduce(cfg: PointConfig, graph: Hypergraph3, threshold) -> SgReduction:
             raise SgHypothesisError(forest.witness[0])
     pruned = prune_min_degree(graph, threshold)
     removed = len(graph.edges) - len(pruned.edges)
-    dim_span = rank_of_rows([cfg.points[v] for v in pruned.vertices]) \
-        if pruned.vertices else 0
+    dim_span = rank_of_rows([cfg.points[v] for v in pruned.vertices])
     bound = 12 * Fraction(len(graph.vertices)) / threshold
     return SgReduction(
         kept=pruned.vertices,
@@ -261,7 +221,7 @@ def points_from_json(data) -> PointConfig:
         raise ValueError(
             f"points file needs a positive integer 'dimension', got {dimension!r}")
     for p in data["points"]:
-        if not isinstance(p, list) or any(type(x) is not int for x in p):
+        if not isinstance(p, list):
             raise ValueError(f"point {p!r} is not a list of integers")
     return config(data["points"], dimension=dimension)
 

@@ -13,4 +13,4 @@ def hypergraph(edges, num_vertices: int | None = None) -> Hypergraph3:
 def points_to_json(cfg: PointConfig) -> dict:
     """The JSON form that sg.read_points parses."""
     return {"dimension": cfg.dimension,
-            "points": [[int(x) for x in p] for p in cfg.points]}
+            "points": [list(p) for p in cfg.points]}

@@ -31,8 +31,6 @@ INVENTORY = {
         "the benchmark's tracer spans it",
     ("simplicial.py", "collapse_spur"):
         "the benchmark's tracer spans it",
-    ("sg.py", "projectivize"):
-        "the paper's projectivization, which waits for a caller",
     ("presentation.py", "standard_zn"):
         "the paper's standard presentations of Z^n, which wait for a caller",
     ("presentation.py", "deficiency_bounds"):

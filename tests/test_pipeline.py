@@ -156,9 +156,10 @@ def test_run_lower_checks_each_changed_presentation_once(monkeypatch):
     assert run_lower(extract_presentation(build_x(12), 0), 24).ok
     assert checked == [78, 276]
     checked.clear()
-    # d = n: every stage from minimize on leaves a new presentation.
+    # d = n: nothing is critical, so replace-sparse hands on the object that
+    # the minimize check passed; the two stages after it leave new ones.
     assert run_lower(extract_presentation(build_x(10), 0), Fraction(1, 8)).ok
-    assert checked == [55, 55, 0, 0]
+    assert checked == [55, 0, 0]
 
 
 def test_run_lower_checks_an_equal_but_new_presentation(monkeypatch):
@@ -547,6 +548,47 @@ def test_cli_golden_sg_check(tmp_path, capsys, points, delta, code, out):
     path.write_text(json.dumps(points_to_json(config(points))))
     assert main(["sg-check", str(path), "--delta", delta]) == code
     assert capsys.readouterr().out == out
+
+
+# The SHA-256 of sg-check's stdout on six point files, with its exit code.
+GOLDEN_SG_CHECK = {
+    "grid": ([(x, y) for x in range(3) for y in range(3)], "1/2", 0,
+             "ccbc6ad9a80d4f28ad4b5e4a222de734d21edfe56f07d1ce8e5ec95a940eb341"),
+    "line": ([(3 * i - 4, 5 - 2 * i) for i in range(6)], "1", 0,
+             "ac0fbf55379e799e3f633f7bdbc5a848e5df61c7d38706971db01fa0697860b7"),
+    "scatter": ([(0, 0), (5, 1), (2, 7), (-3, 4), (6, -2), (1, 3), (-4, -5),
+                 (7, 6), (4, 4), (-1, -1)], "1/3", 1,
+                "e8946e3b4321be55ddeb186fbe8786bd7edb2efb03410d60746512b942f4508c"),
+    "cube": ([(x, y, z) for x in range(3) for y in range(3) for z in range(3)],
+             "1/4", 0,
+             "633e30b83daacf1463043860d11e7781878fb0993cf68fc8171f7e7deac79a64"),
+    "mixed-4d": ([(i, 2 * i, -i, 1) for i in range(4)]
+                 + [(j, 0, 0, 0) for j in range(3)]
+                 + [(1, 1, 1, 1), (-2, 3, 0, 5), (4, -6, 0, -10)], "1/4", 1,
+                 "caf0373a34072f5baa2ebd3eab4672be0279eff30871fba6e0932c5b98881c31"),
+    "failing": ([(x, y) for x in range(3) for y in range(3)] + [(5, 7)], "1/2", 1,
+                "777b8978c08d4258bea08259732801ce220beedb12b62945f9627256887a45f8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SG_CHECK))
+def test_cli_sg_check_stdout_is_pinned(tmp_path, capsys, name):
+    points, delta, code, digest = GOLDEN_SG_CHECK[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(points_to_json(config(points))))
+    assert main(["sg-check", str(path), "--delta", delta]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize("text, shown", [("1.5", "1.5"), ("true", "True")])
+def test_cli_sg_check_rejects_a_non_integer_coordinate(tmp_path, capsys, text, shown):
+    path = tmp_path / "points.json"
+    path.write_text(f'{{"dimension": 2, "points": [[1, 0], [{text}, 0]]}}')
+    assert main(["sg-check", str(path), "--delta", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: point [{shown}, 0] is not a list of integers\n"
 
 
 def test_cli_golden_pipeline_intro3(tmp_path, capsys):

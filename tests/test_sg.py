@@ -1,8 +1,9 @@
 """Exact incidence geometry against brute-force oracles."""
 
 import random
-import time
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,12 +11,13 @@ from lattice_oracle import brute_rank, is_parallel
 from sg_inputs import hypergraph, points_to_json
 from zncomplex import sg
 from zncomplex.errors import SgHypothesisError
+from zncomplex.intlinalg import primitive_direction
 from zncomplex.sg import (
+    PointConfig,
     config,
     is_delta_sg,
     linear_mode_report,
     points_from_json,
-    projectivize,
     prune_min_degree,
     sg_reduce,
     special_lines,
@@ -54,8 +56,6 @@ def pairwise_linear_mode_violations(points):
     """The former all-pairs check, with is_parallel as the oracle."""
     violations = []
     for i, p in enumerate(points):
-        if any(isinstance(x, Fraction) and x.denominator != 1 for x in p):
-            violations.append(f"point {i} is not integral")
         if not any(p):
             violations.append(f"point {i} is zero")
     for i in range(len(points)):
@@ -68,7 +68,7 @@ def pairwise_linear_mode_violations(points):
 
 def test_linear_mode_report_matches_all_pairs_oracle():
     rng = random.Random(4142)
-    values = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+    values = (0, 0, 1, -1, 2, -3)
     failing = 0
     for _ in range(300):
         dim = rng.randint(1, 3)
@@ -76,7 +76,7 @@ def test_linear_mode_report_matches_all_pairs_oracle():
                   for _ in range(rng.randint(0, 8))]
         for _ in range(rng.randint(0, 3)):  # scaled copies share a line
             if points:
-                scale = rng.choice((-2, -1, Fraction(1, 3), 3))
+                scale = rng.choice((-2, -1, 3))
                 points.insert(rng.randint(0, len(points)),
                               [scale * x for x in rng.choice(points)])
         cfg = config(points, dimension=dim)
@@ -87,68 +87,64 @@ def test_linear_mode_report_matches_all_pairs_oracle():
     assert failing > 100
 
 
-def test_projectivize_basis_example():
-    cfg = config([(1, 0), (0, 1)])
-    out, normal = projectivize(cfg)
-    assert normal == (1, 1)
-    assert out.points == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
-def test_projectivize_requires_linear_mode():
-    with pytest.raises(ValueError):
-        projectivize(config([(1, 0), (2, 0)]))
-    with pytest.raises(ValueError):
-        projectivize(config([(0, 0)]))
-
-
-def roots_and_differences(dim):
-    """The points e_i and e_i - e_j (i < j) of Z^dim, in linear mode.
-
-    A normal orthogonal to none of them has dim distinct nonzero entries,
-    so its max-norm is at least dim / 2, and a search by increasing
-    max-norm tries exponentially many vectors in dim first.
-    """
-    unit = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
-    return unit + [tuple(a - b for a, b in zip(unit[i], unit[j]))
-                   for i in range(dim) for j in range(i + 1, dim)]
-
-
-def test_projectivize_images_distinct_and_incidence_preserved():
-    rng = random.Random(31)
-    inputs = []
-    while len(inputs) < 40:
-        dim = rng.randint(2, 4)
-        pts = random_distinct_points(rng, rng.randint(2, 7), dim)
-        if linear_mode_report(config(pts)):
-            inputs.append((pts, None))
-    inputs.append((roots_and_differences(8), 1.0))
-    for pts, budget in inputs:
-        cfg = config(pts)
-        start = time.perf_counter()
-        out, normal = projectivize(cfg)
-        if budget is not None:
-            assert time.perf_counter() - start < budget
-        assert len(set(out.points)) == len(out.points)
-        for p in cfg.points:
-            assert sum(a * b for a, b in zip(p, normal)) != 0
-        # triples span a plane through 0 exactly when images are collinear
-        n = len(pts)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    through_zero = brute_rank(
-                        [pts[i], pts[j], pts[k]]) <= 2
-                    images_collinear = collinear(
-                        out.points[i], out.points[j], out.points[k])
-                    assert through_zero == images_collinear
-
-
 def test_special_lines_grid():
     grid = config([(x, y) for x in range(3) for y in range(3)])
     lines = special_lines(grid)
     # 3 rows + 3 columns + 2 diagonals
     assert len(lines) == 8
     assert sorted(len(v) for v in lines.values()) == [3] * 8
+
+
+def fraction_line_key(p, q):
+    """The affine line through p and q as (anchor, direction) in rationals.
+
+    This was special_lines' key when points could be rational: the
+    primitive direction of q - p, and the point of the line whose
+    coordinate is zero at the direction's first nonzero entry.
+    """
+    delta = [Fraction(b) - Fraction(a) for a, b in zip(p, q)]
+    scale = lcm(*(x.denominator for x in delta))
+    direction = primitive_direction([int(x * scale) for x in delta])
+    k = next(i for i, x in enumerate(direction) if x)
+    t = Fraction(p[k], direction[k])
+    anchor = tuple(Fraction(x) - t * d for x, d in zip(p, direction))
+    return anchor, direction
+
+
+def oracle_special_lines(points):
+    lines = {}
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            key = fraction_line_key(points[i], points[j])
+            lines.setdefault(key, set()).update((i, j))
+    return sorted(sorted(v) for v in lines.values() if len(v) >= 3)
+
+
+def test_special_lines_match_the_fraction_line_key():
+    rng = random.Random(2109)
+    cases = [(2, [(x, y) for x in range(3) for y in range(3)])]
+    while len(cases) < 500:
+        dim, spread = rng.randint(1, 4), rng.randint(1, 4)
+        count = rng.randint(0, min(12, (2 * spread + 1) ** dim))
+        cases.append((dim, random_distinct_points(rng, count, dim, spread)))
+    with_lines = 0
+    for dim, pts in cases:
+        lines = special_lines(config(pts, dimension=dim))
+        expected = oracle_special_lines(pts)
+        assert sorted(sorted(v) for v in lines.values()) == expected, pts
+        with_lines += bool(expected)
+    assert with_lines > 150
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(2), 1.0, 1.5, True, "1"],
+                         ids=["fraction", "whole-fraction", "whole-float", "float",
+                              "bool", "str"])
+def test_points_must_be_ints(value):
+    message = re.escape(f"point [0, {value!r}] is not a list of integers")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        config([(1, 2), (0, value)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PointConfig(2, ((1, 2), (0, value)))
 
 
 def test_is_delta_sg_examples():

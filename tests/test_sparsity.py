@@ -484,6 +484,24 @@ def test_replace_sparse_empty_collection_is_identity():
     assert result.relation_map == (0,)
 
 
+def test_replace_sparse_returns_its_inputs_when_nothing_is_critical():
+    pres = Presentation(("a", "b", "c"), ((("a", 1), ("b", 1), ("c", 1)),))
+    phi = abelian_images(pres)
+    result = replace_sparse(pres, phi, SparsityPartition((0,), (), ()))
+    assert result.presentation is pres and result.phi is phi
+
+
+def test_replace_sparse_rejects_an_extra_relation_when_nothing_is_critical():
+    # One sparse relation leaves nothing critical, so the extra relation
+    # lies in no critical set.
+    relation = (("a", 1), ("b", 1), ("c", 1))
+    pres = Presentation(("a", "b", "c"), (relation, relation))
+    phi = abelian_images(pres)
+    with pytest.raises(SparsityError, match="^extra relation 1 lies in no ") as info:
+        replace_sparse(pres, phi, SparsityPartition((0,), (1,), ()))
+    assert info.value.witness == 1
+
+
 def test_replace_sparse_extra_class():
     # Third relation on the same triple goes to the extra class.
     pres = Presentation(("a", "b", "c"), (
