@@ -11,7 +11,7 @@ Modules:
 - hyperforest: the (1,1) pebble game deciding hyperforests and tight sets
 - sg: exact point-line incidence checks and hypergraph pruning
 - report: Report, the ok/violations/witness result of every check
-- pipeline: end-to-end drivers and their run records
+- pipeline: end-to-end drivers and their stage records
 - errors: the exception types; cli: the zncomplex command
 
 The library computes what the command line and the pipelines read;

@@ -46,6 +46,8 @@ def _cmd_build_x(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.expect_rank is not None and args.expect_rank < 0:
+        raise ValueError(f"--expect-rank must be >= 0, got {args.expect_rank}")
     complex_ = simplicial.read_scx(args.file)
     report = simplicial.validate(complex_)
     if not report:

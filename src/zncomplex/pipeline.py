@@ -4,12 +4,13 @@ run_upper builds a block complex and its collapsed form and re-checks every
 construction invariant.  run_lower takes a presentation of Z^n through the
 whole reduction: minimize, maximal sparse subset, degree pruning over the
 image points, the sparse and subspace replacements, and the final size
-accounting with its exact rational bound.
+accounting with its exact rational bound.  Both record each step as one
+Stage, and both reports render their stages by the same line rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -33,121 +34,112 @@ from .simplicial import compatible_spurs, homology_through, is_spur
 
 
 @dataclass(frozen=True)
-class Check:
+class Stage:
+    """One checked step of a pipeline and what it reports.
+
+    A lower-pipeline stage also carries the generator and relation counts
+    and the free rank of the presentation it left.
+    """
+
     name: str
-    ok: bool
+    ok: bool = True
     detail: str = ""
+    generators: int | None = None
+    relations: int | None = None
+    rank: int | None = None
+
+    def line(self) -> str:
+        text = self.detail
+        if self.rank is not None:
+            text = (f"|S| = {self.generators}, |R| = {self.relations}, "
+                    f"rank = {self.rank}" + (f"  ({text})" if text else ""))
+        return (f"[{'pass' if self.ok else 'FAIL'}] {self.name}"
+                + (f": {text}" if text else ""))
+
+
+def _render(head_lines: list[str], stages) -> str:
+    return "\n".join(head_lines + [s.line() for s in stages]) + "\n"
 
 
 @dataclass(frozen=True)
 class UpperReport:
     trace: CollapseTrace
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def render(self) -> str:
-        t = self.trace
-        lines = [
-            f"m = {t.m} ({t.parity}), factorization size {2 * t.n}",
-            f"block complex: {t.start.vertex_count} vertices, "
-            f"{len(t.start.faces)} faces",
-            f"collapsed complex: {t.result.vertex_count} vertices, "
-            f"{len(t.result.faces)} faces",
-        ]
-        for c in self.checks:
-            status = "pass" if c.ok else "FAIL"
-            lines.append(f"[{status}] {c.name}" + (f": {c.detail}" if c.detail else ""))
-        return "\n".join(lines) + "\n"
-
-
-def run_upper(m: int) -> UpperReport:
-    """Build the collapsed complex for m and re-verify every claimed property."""
-    trace = build_x_trace(m)
-    checks = []
-    expected = 8 * trace.n - (1 if trace.parity == "even" else 3)
-    checks.append(Check(
-        "vertex count",
-        trace.result.vertex_count == expected,
-        f"{trace.result.vertex_count} (expected {expected})"))
-    reports = (is_spur(trace.start, trace.labeling.u, s) for s in trace.spurs)
-    failed = next(((k, r) for k, r in enumerate(reports) if not r), None)
-    checks.append(Check(
-        "every set is a spur", failed is None,
-        f"{len(trace.spurs)} spurs" if failed is None
-        else f"spur {failed[0]}: {failed[1].violations[0]}"))
-    compat = compatible_spurs(trace.start, trace.spurs)
-    checks.append(Check("spurs pairwise compatible", compat.ok,
-                        "".join(compat.violations)))
-    hw = homology_through(trace.start, 2)
-    hx = homology_through(trace.result, 2)
-    checks.append(Check(
-        "homology preserved by the collapses", hw == hx,
-        f"betti {[h.betti for h in hx]}, torsion {[h.torsion for h in hx]}"))
-    checks.append(Check(
-        "first homology is Z^m",
-        hx[1].betti == m and not hx[1].torsion,
-        f"H1 = Z^{hx[1].betti}, torsion {list(hx[1].torsion)}"))
-    checks.append(Check(
-        "second homology is torsion-free of rank C(m,2)",
-        hx[2].betti == comb(m, 2) and not hx[2].torsion,
-        f"H2 = Z^{hx[2].betti}"))
-    return UpperReport(trace, tuple(checks))
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    name: str
-    generators: int
-    relations: int
-    rank: int
-    detail: str = ""
-    ok: bool = True
-
-
-@dataclass
-class PipelineReport:
-    c: Fraction
-    stages: list[StageRecord] = field(default_factory=list)
-    final_difference: int = 0
-    final_bound: Fraction = Fraction(0)
+    stages: tuple[Stage, ...]
 
     @property
     def ok(self) -> bool:
         return all(s.ok for s in self.stages)
 
-    def record(self, name: str, pres: Presentation, rank: int,
-               detail: str = "", ok: bool = True) -> None:
-        """Append the stage's record, with the sizes of the presentation it left."""
-        self.stages.append(StageRecord(
-            name, len(pres.generators), len(pres.relations), rank, detail, ok))
+    def render(self) -> str:
+        t = self.trace
+        return _render([
+            f"m = {t.m} ({t.parity}), factorization size {2 * t.n}",
+            f"block complex: {t.start.vertex_count} vertices, "
+            f"{len(t.start.faces)} faces",
+            f"collapsed complex: {t.result.vertex_count} vertices, "
+            f"{len(t.result.faces)} faces",
+        ], self.stages)
+
+
+def run_upper(m: int) -> UpperReport:
+    """Build the collapsed complex for m and re-verify every claimed property."""
+    trace = build_x_trace(m)
+    stages = []
+    expected = 8 * trace.n - (1 if trace.parity == "even" else 3)
+    stages.append(Stage(
+        "vertex count",
+        trace.result.vertex_count == expected,
+        f"{trace.result.vertex_count} (expected {expected})"))
+    reports = (is_spur(trace.start, trace.labeling.u, s) for s in trace.spurs)
+    failed = next(((k, r) for k, r in enumerate(reports) if not r), None)
+    stages.append(Stage(
+        "every set is a spur", failed is None,
+        f"{len(trace.spurs)} spurs" if failed is None
+        else f"spur {failed[0]}: {failed[1].violations[0]}"))
+    compat = compatible_spurs(trace.start, trace.spurs)
+    stages.append(Stage("spurs pairwise compatible", compat.ok,
+                        "".join(compat.violations)))
+    hw = homology_through(trace.start, 2)
+    hx = homology_through(trace.result, 2)
+    stages.append(Stage(
+        "homology preserved by the collapses", hw == hx,
+        f"betti {[h.betti for h in hx]}, torsion {[h.torsion for h in hx]}"))
+    stages.append(Stage(
+        "first homology is Z^m",
+        hx[1].betti == m and not hx[1].torsion,
+        f"H1 = Z^{hx[1].betti}, torsion {list(hx[1].torsion)}"))
+    stages.append(Stage(
+        "second homology is torsion-free of rank C(m,2)",
+        hx[2].betti == comb(m, 2) and not hx[2].torsion,
+        f"H2 = Z^{hx[2].betti}"))
+    return UpperReport(trace, tuple(stages))
+
+
+@dataclass(frozen=True)
+class PipelineReport:
+    c: Fraction
+    stages: tuple[Stage, ...]
+    final_difference: int
+    final_bound: Fraction
+
+    @property
+    def ok(self) -> bool:
+        return all(s.ok for s in self.stages)
 
     def render(self) -> str:
-        lines = [f"reduction pipeline, c = {self.c}"]
-        for s in self.stages:
-            status = "pass" if s.ok else "FAIL"
-            lines.append(
-                f"[{status}] {s.name}: |S| = {s.generators}, |R| = {s.relations}, "
-                f"rank = {s.rank}" + (f"  ({s.detail})" if s.detail else ""))
-        lines.append(
+        return _render([f"reduction pipeline, c = {self.c}"], self.stages) + (
             f"final |R| - |S| = {self.final_difference} <= {self.final_bound} "
-            f"= c k^2 / n + d: {'pass' if self.ok else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+            f"= c k^2 / n + d: {'pass' if self.ok else 'FAIL'}\n")
 
 
-def _verified_rank(pres: Presentation, stage: str, expected: int,
-                   last: tuple[Presentation, int] | None) -> tuple[Presentation, int]:
-    """Check that pres presents Z^expected, by a Smith form without transforms.
+def _sized(name: str, pres: Presentation, rank: int,
+           detail: str = "", ok: bool = True) -> Stage:
+    """The stage record of a lower stage that left pres, of free rank rank."""
+    return Stage(name, ok, detail, len(pres.generators), len(pres.relations), rank)
 
-    last is what the previous call returned: the presentation it verified,
-    and at which rank.  The same object at the same rank has passed this
-    check already, so nothing runs; any other presentation, even an equal
-    one, gets its Smith form.
-    """
-    if last is not None and last[0] is pres and last[1] == expected:
-        return last
+
+def _verify_rank(pres: Presentation, stage: str, expected: int) -> None:
+    """Check that pres presents Z^expected, by a Smith form without transforms."""
     snf = sparse_snf(exponent_columns(pres), len(pres.generators))
     if snf.torsion:
         raise PipelineStageError(stage, f"torsion appeared: {snf.torsion}",
@@ -156,7 +148,6 @@ def _verified_rank(pres: Presentation, stage: str, expected: int,
     if rank != expected:
         raise PipelineStageError(
             stage, f"free rank {rank}, expected {expected}")
-    return pres, expected
 
 
 def _span_closure(phi: AbelianMap, generators, kept) -> list[str]:
@@ -179,13 +170,12 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
     the image hypergraph at threshold c*k/n, grow the surviving generator
     set until it is span-closed, split the relations into sparse / extra /
     other, rebase the critical sets, kill the surviving subspace, and strip
-    the trivialized other-class relations.  minimize, replace-sparse,
-    replace-subspace and strip-other each re-verify the abelianization of
-    the presentation they leave by a fresh Smith form, unless it is the
-    very object the previous check passed at the same rank: at d = 0,
-    replace_subspace returns its input and strip-other has nothing to
-    strip, so only minimize and replace-sparse run one, and with no
-    critical set replace_sparse returns its input too.
+    the trivialized other-class relations.  A c <= 0 raises ValueError
+    before any work.  Re-check rule: a stage that hands on a new
+    presentation re-verifies its abelianization by a fresh Smith form, and
+    one that hands on its input object does not.  So minimize always runs
+    one, replace-sparse and replace-subspace when their output is not their
+    input, and strip-other when it stripped something.
     replace_sparse raises on a broken size identity and on an other-class
     relation inside a critical set, so neither is checked again here.  One
     funnel turns any other CheckFailedError into a PipelineStageError naming
@@ -193,24 +183,26 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
     passes through as is.
     """
     c = Fraction(c)
-    report = PipelineReport(c=c)
+    if c <= 0:
+        raise ValueError(f"c must be positive, got {c}")
+    stages = []
     stage = "abelianize"
     try:
         phi = abelian_images(pres)
         n = phi.rank
         if n == 0:
             raise PipelineStageError(stage, "rank 0: the threshold c*k/n needs n >= 1")
-        report.record(stage, pres, n)
+        stages.append(_sized(stage, pres, n))
 
         stage = "minimize"
         p1, phi1 = minimize(pres, phi)
-        verified = _verified_rank(p1, stage, n, None)
+        _verify_rank(p1, stage, n)
         k = len(p1.generators)
-        report.record(stage, p1, n)
+        stages.append(_sized(stage, p1, n))
 
         stage = "maximal-sparse"
         sparse_idx = maximal_sparse_subset(p1, phi1)
-        report.record(stage, p1, n, f"|R'| = {len(sparse_idx)}")
+        stages.append(_sized(stage, p1, n, f"|R'| = {len(sparse_idx)}"))
 
         stage = "sg-reduce"
         threshold = c * k / n
@@ -219,18 +211,18 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
             frozenset(gen_index[g] for g in p1.support(i)) for i in sparse_idx))
         points = config([phi1.vector(g) for g in p1.generators], dimension=n)
         reduction = sg_reduce(points, graph, threshold)
-        report.record(
+        stages.append(_sized(
             stage, p1, n,
             f"threshold {threshold}, kept {len(reduction.kept)} points, "
             f"span {reduction.dim_span} <= {reduction.bound}, "
             f"removed {reduction.removed_edges} < {reduction.removal_budget}",
-            reduction.dim_within_bound and reduction.removal_within_budget)
+            reduction.dim_within_bound and reduction.removal_within_budget))
 
         stage = "augment"
         d = reduction.dim_span
         s_prime = _span_closure(
             phi1, p1.generators, [p1.generators[i] for i in reduction.kept])
-        report.record(stage, p1, n, f"|S'| = {len(s_prime)}, d = {d}")
+        stages.append(_sized(stage, p1, n, f"|S'| = {len(s_prime)}, d = {d}"))
 
         stage = "partition"
         on_sprime = set(relations_on(p1, range(len(p1.relations)), s_prime))
@@ -239,20 +231,24 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
         r_e = tuple(i for i in range(len(p1.relations))
                     if i not in sparse_set and i not in on_sprime)
         r_o = tuple(sorted(on_sprime))
-        report.record(stage, p1, n,
-                      f"|R_s| = {len(r_s)}, |R_e| = {len(r_e)}, |R_o| = {len(r_o)}")
+        stages.append(_sized(
+            stage, p1, n, f"|R_s| = {len(r_s)}, |R_e| = {len(r_e)}, |R_o| = {len(r_o)}"))
 
         stage = "replace-sparse"
         sparse_result = replace_sparse(p1, phi1, SparsityPartition(r_s, r_e, r_o))
         p2, phi2 = sparse_result.presentation, sparse_result.phi
-        verified = _verified_rank(p2, stage, n, verified)
+        if p2 is not p1:
+            _verify_rank(p2, stage, n)
         gap, chain = len(p2.relations) - len(p2.generators), len(r_s) + len(r_o) - k
-        report.record(stage, p2, n, f"|R|-|S| = {gap} = |R_s|+|R_o|-|S| = {chain}")
+        stages.append(_sized(stage, p2, n, f"|R|-|S| = {gap} = |R_s|+|R_o|-|S| = {chain}"))
 
         stage = "replace-subspace"
         p3 = replace_subspace(p2, phi2, s_prime)
-        verified = _verified_rank(p3, stage, n - d, verified)
-        report.record(stage, p3, n - d, f"rank dropped by d = {d}")
+        # replace_subspace returns its input only for an empty S', where
+        # d = 0, so a skipped check never skips a change of rank.
+        if p3 is not p2:
+            _verify_rank(p3, stage, n - d)
+        stages.append(_sized(stage, p3, n - d, f"rank dropped by d = {d}"))
 
         stage = "strip-other"
         other_new = [sparse_result.relation_map[i] for i in r_o]
@@ -265,8 +261,8 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
         if stripped:
             p4 = Presentation(p3.generators, tuple(
                 rel for j, rel in enumerate(p3.relations) if j not in stripped))
-        _verified_rank(p4, stage, n - d, verified)
-        report.record(stage, p4, n - d, f"stripped {len(other_new)} trivial relations")
+            _verify_rank(p4, stage, n - d)
+        stages.append(_sized(stage, p4, n - d, f"stripped {len(other_new)} trivial relations"))
     except PipelineStageError:
         raise
     except CheckFailedError as exc:
@@ -274,13 +270,12 @@ def run_lower(pres: Presentation, c=Fraction(24)) -> PipelineReport:
 
     difference = len(p4.relations) - len(p4.generators)
     expected_difference = len(r_s) + d - (k - len(s_prime))
-    report.final_difference = difference
-    report.final_bound = bound = c * k * k / n + d
-    report.record("final", p4, n - d,
-                  f"|R|-|S| = {difference}, chain value {expected_difference}, "
-                  f"bound {bound}",
-                  difference == expected_difference and difference <= bound)
-    return report
+    bound = c * k * k / n + d
+    stages.append(_sized("final", p4, n - d,
+                         f"|R|-|S| = {difference}, chain value {expected_difference}, "
+                         f"bound {bound}",
+                         difference == expected_difference and difference <= bound))
+    return PipelineReport(c, tuple(stages), difference, bound)
 
 
 def smallest_k(predicate) -> int:

@@ -21,7 +21,7 @@ from zncomplex.construction import build_x
 from zncomplex.errors import PipelineStageError
 from zncomplex.pipeline import (
     _span_closure,
-    _verified_rank,
+    _verify_rank,
     report_bounds,
     run_lower,
     run_upper,
@@ -137,7 +137,7 @@ def test_run_lower_other_relation_inside_a_critical_set(monkeypatch):
 
 
 def spy_on_checks(monkeypatch):
-    """The generator count of every presentation _verified_rank reduces."""
+    """The generator count of every presentation _verify_rank reduces."""
     checked = []
     real = zncomplex.pipeline.sparse_snf
 
@@ -175,19 +175,70 @@ def test_run_lower_checks_an_equal_but_new_presentation(monkeypatch):
     assert checked == [78, 276, 276]
 
 
-def test_verified_rank_skips_only_the_object_it_last_verified(monkeypatch):
+def test_verify_rank_passes_or_names_the_rank_it_found(monkeypatch):
     checked = spy_on_checks(monkeypatch)
     pres = standard_zn(3, "intro3")
-    last = _verified_rank(pres, "stage", 3, None)
-    assert last == (pres, 3) and checked == [6]
-    assert _verified_rank(pres, "stage", 3, last) is last
-    assert checked == [6]
-    copy = Presentation(pres.generators, pres.relations)
-    assert _verified_rank(copy, "stage", 3, last) == (copy, 3)
-    assert checked == [6, 6]
+    assert _verify_rank(pres, "stage", 3) is None
     with pytest.raises(PipelineStageError, match="free rank 3, expected 2"):
-        _verified_rank(pres, "stage", 2, last)
-    assert checked == [6, 6, 6]
+        _verify_rank(pres, "stage", 2)
+    assert checked == [6, 6]
+
+
+@pytest.mark.parametrize("c", ["0", "-1", "-1/8"])
+def test_cli_pipeline_rejects_a_non_positive_c_before_any_work(
+        tmp_path, capsys, monkeypatch, c):
+    path = tmp_path / "intro3.json"
+    path.write_text(dumps_presentation(standard_zn(3, "intro3")))
+    calls = []
+    monkeypatch.setattr(zncomplex.pipeline, "abelian_images",
+                        lambda pres: calls.append(pres))
+    # "--c=" keeps argparse from reading "-1/8" as an option name.
+    assert main(["pipeline", str(path), f"--c={c}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: c must be positive, got {c}\n"
+    assert calls == []
+
+
+# run_lower(standard_zn(3, "intro3")) with sg_reduce's bound forced below the
+# span it reports: the sg-reduce line and the closing verdict read FAIL.
+GOLDEN_LOWER_INTRO3_SG_FAIL = (
+    "reduction pipeline, c = 24\n"
+    "[pass] abelianize: |S| = 6, |R| = 6, rank = 3\n"
+    "[pass] minimize: |S| = 6, |R| = 6, rank = 3\n"
+    "[pass] maximal-sparse: |S| = 6, |R| = 6, rank = 3  (|R'| = 6)\n"
+    "[FAIL] sg-reduce: |S| = 6, |R| = 6, rank = 3  (threshold 48, kept 0 "
+    "points, span 0 <= -1, removed 6 < 288)\n"
+    "[pass] augment: |S| = 6, |R| = 6, rank = 3  (|S'| = 0, d = 0)\n"
+    "[pass] partition: |S| = 6, |R| = 6, rank = 3  "
+    "(|R_s| = 6, |R_e| = 0, |R_o| = 0)\n"
+    "[pass] replace-sparse: |S| = 15, |R| = 15, rank = 3  "
+    "(|R|-|S| = 0 = |R_s|+|R_o|-|S| = 0)\n"
+    "[pass] replace-subspace: |S| = 15, |R| = 15, rank = 3  "
+    "(rank dropped by d = 0)\n"
+    "[pass] strip-other: |S| = 15, |R| = 15, rank = 3  "
+    "(stripped 0 trivial relations)\n"
+    "[pass] final: |S| = 15, |R| = 15, rank = 3  "
+    "(|R|-|S| = 0, chain value 0, bound 288)\n"
+    "final |R| - |S| = 0 <= 288 = c k^2 / n + d: FAIL\n"
+)
+
+
+def test_run_lower_renders_a_failed_stage(tmp_path, capsys, monkeypatch):
+    real = zncomplex.pipeline.sg_reduce
+
+    def over_bound(points, graph, threshold):
+        return dataclasses.replace(real(points, graph, threshold),
+                                   bound=Fraction(-1))
+
+    monkeypatch.setattr(zncomplex.pipeline, "sg_reduce", over_bound)
+    report = run_lower(standard_zn(3, "intro3"))
+    assert not report.ok
+    assert report.render() == GOLDEN_LOWER_INTRO3_SG_FAIL
+    path = tmp_path / "intro3.json"
+    path.write_text(dumps_presentation(standard_zn(3, "intro3")))
+    assert main(["pipeline", str(path)]) == 1
+    assert capsys.readouterr().out == GOLDEN_LOWER_INTRO3_SG_FAIL
 
 
 # SHA-256 of run_lower(extract_presentation(build_x(m), 0), c).render().
@@ -358,6 +409,15 @@ def test_cli_build_verify_homology(tmp_path):
     assert main(["homology", str(out), "--dim", "1"]) == 0
     complex_ = read_scx(out)
     assert complex_.vertex_count == 31
+
+
+def test_cli_verify_rejects_a_negative_expected_rank(tmp_path, capsys):
+    # The file does not exist: the rank is rejected before it is read.
+    missing = tmp_path / "missing.scx"
+    assert main(["verify", str(missing), "--expect-rank", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --expect-rank must be >= 0, got -1\n"
 
 
 def test_cli_build_x_excluded_size(tmp_path):
@@ -680,6 +740,24 @@ GOLDEN_UPPER_8 = (
 
 def test_golden_run_upper_8():
     assert run_upper(8).render() == GOLDEN_UPPER_8
+
+
+GOLDEN_UPPER_7 = (
+    "m = 7 (odd), factorization size 8\n"
+    "block complex: 57 vertices, 687 faces\n"
+    "collapsed complex: 29 vertices, 631 faces\n"
+    "[pass] vertex count: 29 (expected 29)\n"
+    "[pass] every set is a spur: 14 spurs\n"
+    "[pass] spurs pairwise compatible\n"
+    "[pass] homology preserved by the collapses: betti [1, 7, 21], "
+    "torsion [(), (), ()]\n"
+    "[pass] first homology is Z^m: H1 = Z^7, torsion []\n"
+    "[pass] second homology is torsion-free of rank C(m,2): H2 = Z^21\n"
+)
+
+
+def test_golden_run_upper_7():
+    assert run_upper(7).render() == GOLDEN_UPPER_7
 
 
 @pytest.mark.parametrize("command, flag", [
