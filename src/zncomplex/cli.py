@@ -211,6 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # "--c -1/8" as "--c=-1/8": argparse reads a separate "-1/8" as an option.
+    for k in reversed(range(len(argv) - 1)):
+        if argv[k] in ("--c", "--delta"):
+            argv[k:k + 2] = [f"{argv[k]}={argv[k + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

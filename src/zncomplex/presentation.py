@@ -314,24 +314,14 @@ def replace1(pres: Presentation, phi: AbelianMap,
     return Presentation(generators, relations), AbelianMap(phi.rank, images)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, x, y) with a*x + b*y = g
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def replace2(pres: Presentation, phi: AbelianMap, g: str, h: str,
              a: int, b: int) -> tuple[Presentation, AbelianMap]:
     """Fuse two generators with a*phi(g) + b*phi(h) = 0, gcd(a, b) = 1.
 
     A fresh generator i replaces them: g becomes i^b and h becomes i^-a in
-    every relation.  With Bezout coefficients a*c + b*d = 1 the new image is
-    phi(i) = d*phi(g) - c*phi(h), which restores phi(g) and phi(h) under the
-    substitution.
+    every relation.  b divides phi(g), since b*phi(h) = -a*phi(g) and a, b
+    are coprime, and the new image phi(i) = phi(g) / b restores phi(g) =
+    b*phi(i) and phi(h) = -a*phi(i) under the substitution.
     """
     if g == h:
         raise ValueError("generators must be distinct")
@@ -356,21 +346,16 @@ def replace2(pres: Presentation, phi: AbelianMap, g: str, h: str,
                 syllables.append((x, e))
         relations.append(_clean_word(syllables))
     images = {x: v for x, v in phi.images.items() if x not in (g, h)}
-    images[fresh] = _fused_image(vg, vh, a, b)
+    images[fresh] = tuple(x // b for x in vg)
     return Presentation(generators, tuple(relations)), AbelianMap(phi.rank, images)
-
-
-def _fused_image(vg, vh, a: int, b: int) -> tuple[int, ...]:
-    """d*vg - c*vh for a*c + b*d = 1: the image of the generator fusing g, h."""
-    divisor, c, d = _xgcd(a, b)
-    c, d = c * divisor, d * divisor  # divisor is +-1; now a*c + b*d = 1
-    return tuple(d * x - c * y for x, y in zip(vg, vh))
 
 
 def _coprime_dependency(u, v) -> tuple[int, int]:
     """Coprime (a, b), b < 0, with a*u + b*v = 0 for parallel nonzero integer vectors.
 
     (v[k], -u[k]) over gcd(u[k], v[k]) signed like u[k], at u's first nonzero k.
+    On 1-tuples (x,), (y,) it is the dependency of x*d and y*d for every
+    direction d whose first nonzero entry is positive, as minimize uses it.
     """
     k = next(i for i, x in enumerate(u) if x)
     g = gcd(u[k], v[k]) if u[k] > 0 else -gcd(u[k], v[k])
@@ -384,14 +369,16 @@ def minimize(pres: Presentation, phi: AbelianMap) -> tuple[Presentation, Abelian
     raises NotFreeAbelianError on torsion).  A relation whose normal form
     has more than three syllables raises TooLongError; empty ones are
     stripped.  Every generator with zero image is dropped.  The others fall
-    into classes by the line their image spans, and each class is fused down
-    to one generator, in the order of eliminating one pair at a time: the
-    first generator in the current order whose class has another member is
-    fused with the next member by replace2's rule for their coprime
-    dependency, and the fresh generator goes last.  The fusions are replayed
-    on the images alone; then every relation is rewritten and freely reduced
-    once, and those that became trivial are stripped.  The result equals
-    that of replace1 and replace2 applied one generator at a time.
+    into classes by the primitive direction d of their image phi(g) =
+    scale(g)*d, and each class is fused down to one generator, in the order
+    of eliminating one pair at a time: the first generator in the current
+    order whose class has another member is fused with the next member by
+    replace2's rule for their coprime dependency, and the fresh generator
+    goes last with scale(g) // b.  Each class keeps one survivor s, and g
+    becomes s^(scale(g) // scale(s)), the power the fusions compose to.
+    Every relation is rewritten and freely reduced once, and those that
+    became trivial are stripped.  The result equals that of replace1 and
+    replace2 applied one generator at a time.
 
     At the end every relation has a three-syllable normal form whose images
     span a plane, and the returned map holds each of those planes.  A
@@ -400,44 +387,42 @@ def minimize(pres: Presentation, phi: AbelianMap) -> tuple[Presentation, Abelian
     """
     if set(phi.images) != set(pres.generators):
         raise ValueError("phi must give an image for exactly the generators")
-    images = {g: phi.images[g] for g in pres.generators if any(phi.images[g])}
+    line: dict[str, tuple[int, ...]] = {}  # g -> primitive direction d
+    scale: dict[str, int] = {}  # g -> its multiplier: phi(g) = scale[g] * d
+    for g in pres.generators:
+        if any(v := phi.images[g]):
+            d = line[g] = primitive_direction(v)
+            top = max(d)  # positive, as d's first nonzero entry is
+            scale[g] = v[d.index(top)] // top
     # Zero generators go first: a fresh name may reuse one of theirs.
-    relations = [tuple((g, e) for g, e in rel if g in images)
+    relations = [tuple((g, e) for g, e in rel if g in scale)
                  for rel in pres.relations if normalize(rel).word]
-    order = list(images)  # the current generator order; fused ones stay in it
-    line = {g: primitive_direction(v) for g, v in images.items()}
+    order = list(scale)  # the current generator order; fused ones stay in it
     classes: dict[tuple, deque] = {}
     for g in order:
         classes.setdefault(line[g], deque()).append(g)
     fresh = _fresh_names(order)
-    fused: dict[str, tuple[str, int]] = {}  # g -> (i, e): g becomes i^e
     for g in order:  # runs over the fresh generators appended below, too
         members = classes[line[g]]
-        if g in fused or len(members) < 2:
-            continue
-        members.popleft()  # g: no earlier member of its class is left
+        if len(members) < 2 or members[0] != g:
+            continue  # g is its class's survivor, or already fused
+        members.popleft()
         h = members.popleft()
-        a, b = _coprime_dependency(images[g], images[h])
+        _, b = _coprime_dependency((scale[g],), (scale[h],))
         i = next(fresh)
-        images[i] = _fused_image(images[g], images[h], a, b)
-        line[i] = line[g]
+        line[i], scale[i] = line[g], scale[g] // b
         members.append(i)
         order.append(i)
-        fused[g], fused[h] = (i, b), (i, -a)
-    target: dict[str, tuple[str, int]] = {}  # g -> (s, e): g becomes s^e, s survives
-    for g in reversed(order):
-        if g in fused:
-            i, e = fused[g]
-            survivor, f = target[i]
-            target[g] = (survivor, e * f)
-        else:
-            target[g] = (g, 1)
-    generators = tuple(g for g in order if g not in fused)
-    out_phi = AbelianMap(phi.rank, {g: images[g] for g in generators})
+    survivor = {d: members[0] for d, members in classes.items()}
+    generators = tuple(g for g in order if survivor[line[g]] == g)
+    out_phi = AbelianMap(phi.rank, {
+        s: tuple(scale[s] * x for x in line[s]) for s in generators})
+    target = {g: (survivor[d], scale[g] // scale[survivor[d]])
+              for g, d in line.items()}  # g becomes s^e
     kept = []
     for rel in relations:
         syllables = tuple((target[g][0], target[g][1] * e) for g, e in rel)
-        if fused:
+        if len(generators) < len(order):
             syllables = _clean_word(syllables)
         nf = normalize(syllables)
         if not nf.word:

@@ -192,12 +192,31 @@ def test_cli_pipeline_rejects_a_non_positive_c_before_any_work(
     calls = []
     monkeypatch.setattr(zncomplex.pipeline, "abelian_images",
                         lambda pres: calls.append(pres))
-    # "--c=" keeps argparse from reading "-1/8" as an option name.
     assert main(["pipeline", str(path), f"--c={c}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: c must be positive, got {c}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+@pytest.mark.parametrize("command, option, value, message", [
+    ("pipeline", "--c", "-1/8", "c must be positive, got -1/8"),
+    ("sg-check", "--delta", "-1/2", "delta must be in [0, 1], got -1/2"),
+], ids=["pipeline", "sg-check"])
+def test_cli_reads_a_negative_fraction_as_the_option_value(
+        tmp_path, capsys, joined, command, option, value, message):
+    # argparse alone reads a separate "-1/8" as an option name and exits 2
+    # with its two-line usage error, before the command can check the value.
+    path = tmp_path / "input.json"
+    path.write_text(dumps_presentation(standard_zn(3, "intro3"))
+                    if command == "pipeline" else
+                    json.dumps(points_to_json(config([(0, 0), (1, 0)]))))
+    option_args = [f"{option}={value}"] if joined else [option, value]
+    assert main([command, str(path)] + option_args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # run_lower(standard_zn(3, "intro3")) with sg_reduce's bound forced below the

@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 import time
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bezout_oracle
 import word_oracle
 import zncomplex
 from abelian_oracle import dense_abelian_rank, exponent_matrix
@@ -355,6 +356,25 @@ def test_replace2_rejects_non_coprime():
         replace2(pres, phi, "g", "h", 1, 1)  # dependency does not hold
 
 
+def test_replace2_image_is_the_bezout_image():
+    rng = random.Random(2_4001)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        w = [0] * n
+        while not any(w):
+            w = [rng.randint(-3, 3) for _ in range(n)]
+        lg, lh = (rng.choice((1, -1)) * rng.randint(1, 12) for _ in range(2))
+        vg, vh = tuple(lg * x for x in w), tuple(lh * x for x in w)
+        pres, phi = Presentation(("g", "h"), ()), AbelianMap(n, {"g": vg, "h": vh})
+        a, b = _coprime_dependency(vg, vh)
+        for a, b in ((a, b), (-a, -b)):
+            out, out_phi = replace2(pres, phi, "g", "h", a, b)
+            image = out_phi.images[out.generators[-1]]
+            assert image == bezout_oracle.bezout_image(vg, vh, a, b)
+            assert vg == tuple(b * x for x in image)
+            assert vh == tuple(-a * x for x in image)
+
+
 def free_part_signature(pres):
     """(free rank, nonunit invariant factors) of the relation matrix."""
     snf = smith_normal_form(exponent_matrix(pres))
@@ -553,6 +573,39 @@ def test_minimize_matches_stepwise_on_random_presentations():
     assert seen["fused"] >= 150 and seen["zero"] >= 50, seen
     assert seen["t-name"] >= 50 and seen["zero name reused"] >= 3, seen
     assert seen[TooLongError] >= 5 and seen[NotFreeAbelianError] >= 20, seen
+
+
+def test_minimize_matches_stepwise_on_a_class_with_a_non_unit_survivor():
+    # Four to six generators on the line of e_i + c*e_j, each image a
+    # multiple of k*(e_i + c*e_j) with k >= 2, and no other generator on
+    # that line: the survivor s has image scale(s)*d with |scale(s)| >= 2,
+    # so each g of the class becomes s^(scale(g) // scale(s)) by a non-unit
+    # divisor.  The 400 random_fusion_case inputs above build no such
+    # class: each class of four or more holds a generator of scale +-1.
+    rng = random.Random(2_4024)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        base = standard_zn(n, "intro3")
+        i, j = rng.sample(range(1, n + 1), 2)
+        c, k = rng.choice((2, -2, 3)), rng.choice((2, 3))
+        gens, rels = list(base.generators), list(base.relations)
+        for m in range(rng.randint(4, 6)):
+            name = f"t{rng.randint(0, 9)}" if rng.random() < 0.3 else f"z{m}"
+            if name in gens:
+                name = f"z{m}"
+            scale = k * rng.choice((1, -1)) * rng.randint(1, 4)
+            gens.append(name)
+            rels.append(((name, 1), (f"g{i}", -scale), (f"g{j}", -c * scale)))
+        rng.shuffle(gens)
+        rng.shuffle(rels)
+        pres = Presentation(tuple(gens), tuple(rels))
+        expected = minimize_outcome(lambda: stepwise_minimize(pres))
+        got = minimize_outcome(lambda: minimize(pres, abelian_images(pres)))
+        assert got == expected, pres
+        out, _, images = got
+        survivors = [v for g, v in images if g not in base.generators]
+        assert len(survivors) == 1 and len(out.generators) == len(base.generators) + 1
+        assert gcd(*survivors[0]) >= k
 
 
 def test_minimize_within_budget():
