@@ -26,7 +26,9 @@ everything else calls one of them:
   which names the dimension in minimize's and relation_planes' errors.
 - plane_key is the one rank-two test and plane key: presentation's
   AbelianMap.plane (for minimize and relation_planes), sg.sg_reduce and
-  sg.special_lines, which keys sg-check's lines, call it alone.
+  sg.special_lines, which keys sg-check's lines, call it alone.  A key is
+  the nonzero Pluecker coordinates as (i, j, x) triples, so its length
+  does not grow with the dimension.
 - primitive_direction keys lines for presentation.minimize and sg.
 """
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd
 
 
@@ -290,7 +291,7 @@ def coordinates(vector, basis) -> list[int] | None:
     return None if any(rest) else coeffs
 
 
-def plane_key(rows) -> tuple[int, ...]:
+def plane_key(rows) -> tuple[tuple[int, int, int], ...]:
     """Canonical key of the plane that integer vectors span, and the rank test.
 
     The key is the Pluecker vector p = u ^ v = (u_i v_j - u_j v_i for i < j)
@@ -303,14 +304,14 @@ def plane_key(rows) -> tuple[int, ...]:
     nonzero entry of p decides without a gcd.  Raises ValueError unless the
     rows span exactly a plane, that is rank two over Q.
 
-    Only the coordinates where some row is nonzero enter the products; the
-    other entries of p are zero and are filled in at the end.  The list of
-    used-coordinate pairs (i, j), i < j, is built once; every product and
-    the scatter into the key read it.
+    The key holds only the nonzero entries of p, as (i, j, x) triples in
+    (i, j) order, with i < j original coordinates and x != 0.  Only the
+    coordinates where some row is nonzero enter the products, since the
+    other entries of p are zero; the list of used-coordinate pairs is built
+    once, and every product and the key read it.
     """
     rows = [tuple(r) for r in rows]
-    n = len(rows[0]) if rows else 0
-    used = list(compress(range(n), map(any, zip(*rows))))
+    used = [i for i, column in enumerate(zip(*rows)) if any(column)]
     rows = [[r[i] for i in used] for r in rows if any(r)]
     if rows:
         u = rows[0]
@@ -327,12 +328,6 @@ def plane_key(rows) -> tuple[int, ...]:
             elif any(x * pk != y * q[k] for x, y in zip(q, p)):
                 raise ValueError("the rows span more than a plane")
         if p is not None:
-            p = primitive_direction(p)
-            if s == n:
-                return p
-            key = [0] * (n * (n - 1) // 2)
-            for (i, j), x in zip(pairs, p):
-                i, j = used[i], used[j]
-                key[i * (2 * n - i - 1) // 2 + j - i - 1] = x
-            return tuple(key)
+            return tuple((used[i], used[j], x) for (i, j), x
+                         in zip(pairs, primitive_direction(p)) if x)
     raise ValueError("no two of the rows are linearly independent")

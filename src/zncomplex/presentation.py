@@ -188,7 +188,7 @@ class AbelianMap:
     images: dict[str, tuple[int, ...]]
     # generator set -> plane_key of its images, filled by plane(); derived,
     # so it stays out of ==, hash and repr.
-    _planes: dict[frozenset[str], tuple[int, ...]] = field(
+    _planes: dict[frozenset[str], tuple[tuple[int, int, int], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def vector(self, g: str) -> tuple[int, ...]:
@@ -196,7 +196,7 @@ class AbelianMap:
             raise ValueError(f"unknown generator {g!r}")
         return self.images[g]
 
-    def plane(self, support: frozenset[str]) -> tuple[int, ...]:
+    def plane(self, support: frozenset[str]) -> tuple[tuple[int, int, int], ...]:
         """plane_key of the images of support, computed once per support.
 
         Raises ValueError, and memoizes nothing, when a generator is unknown
@@ -673,13 +673,15 @@ def replace_subspace(pres: Presentation, phi: AbelianMap,
     i as the witness.  An empty subset kills nothing, so the input object
     itself is returned, unrewritten.
     """
+    generators = list(generators)
     wanted = set(generators)
     if not wanted:
         return pres
-    subset = [g for g in pres.generators if g in wanted]
+    known = set(pres.generators)
     for g in generators:
-        if g not in pres.generators:
+        if g not in known:
             raise ValueError(f"unknown generator {g!r}")
+    subset = [g for g in pres.generators if g in wanted]
     n = phi.rank
     # The rows of P as sparse dicts {coordinate: entry}.
     _, _, projection = echelon([[phi.vector(g)[t] for g in subset] for t in range(n)])

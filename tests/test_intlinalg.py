@@ -374,7 +374,7 @@ def sparse_rows(draw):
     """2-4 rows in Z^7..Z^48 with at most 3 nonzero coordinates each.
 
     These are the shapes of the lower pipeline's plane keys, where most
-    coordinates are unused and the key is scattered from the used ones.
+    coordinates are unused and the key holds only the used ones' products.
     Half the time each row is drawn on the coordinates of the first, so
     rows in one plane and on one line are common too.
     """
@@ -392,15 +392,37 @@ def sparse_rows(draw):
     return rows
 
 
+def dense_key(key, n):
+    """The (i, j, x) triples of a plane key as the whole Pluecker vector.
+
+    The triples must be in (i, j) order with i < j < n and x != 0, so
+    different keys give different vectors.
+    """
+    assert all(0 <= i < j < n and x for i, j, x in key)
+    assert [(i, j) for i, j, _ in key] == sorted({(i, j) for i, j, _ in key})
+    entries = {(i, j): x for i, j, x in key}
+    return tuple(entries.get((i, j), 0)
+                 for i in range(n) for j in range(i + 1, n))
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows_near_a_plane(), sparse_rows())
 def test_plane_key_equals_two_step_oracle(near, sparse):
     for rows in (near, sparse):
         if lattice_oracle.brute_rank(rows) == 2:
-            assert plane_key(rows) == lattice_oracle.plane_key(rows)
+            key = dense_key(plane_key(rows), len(rows[0]))
+            assert key == lattice_oracle.plane_key(rows)
         else:
             with pytest.raises(ValueError):
                 plane_key(rows)
+
+
+def test_plane_key_of_a_coordinate_plane_has_one_entry():
+    n = 200
+    for i, j in ((0, 1), (0, 199), (57, 123), (198, 199)):
+        e_i, e_j = ([int(t == k) for t in range(n)] for k in (i, j))
+        assert plane_key([e_i, e_j]) == ((i, j, 1),)
+        assert plane_key([e_j, [-2 * x for x in e_i]]) == ((i, j, 1),)
 
 
 def test_plane_key_rejects_rank_three():

@@ -422,6 +422,16 @@ def test_minimize_of_extracted_complex():
         assert subset_dimension(phi, nf.support) == 2
 
 
+def test_minimize_keys_each_plane_of_x28_by_one_pluecker_entry():
+    # Every relation of the minimized X_28 spans a coordinate plane of Z^28,
+    # so its key is one (i, j, x) triple, not a vector of length C(28, 2).
+    pres = extract_presentation(build_x(28), 0)
+    out, phi = minimize(pres, abelian_images(pres))
+    assert phi.rank == 28 and out.relations
+    for r in range(len(out.relations)):
+        assert len(phi.plane(out.support(r))) == 1
+
+
 def test_minimize_hands_its_planes_to_the_sparsity_stage(monkeypatch):
     keys = []
 

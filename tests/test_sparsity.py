@@ -713,6 +713,18 @@ def test_replace_subspace_examples():
     assert abelian_images(out).rank == 1
 
 
+def test_replace_subspace_reads_a_one_shot_iterable_once():
+    intro = standard_zn(3, "intro3")
+    phi = abelian_images(intro)
+    with pytest.raises(ValueError, match="unknown generator 'nope'"):
+        replace_subspace(intro, phi, (g for g in ["nope"]))
+    with pytest.raises(ValueError, match="unknown generator 'nope'"):
+        replace_subspace(intro, phi, iter(["g1", "nope"]))
+    subset = ["g1", "g2", "h1_2"]
+    assert replace_subspace(intro, phi, iter(subset)) == \
+        replace_subspace(intro, phi, subset)
+
+
 def test_replace_subspace_rank_drop_random():
     rng = random.Random(1618)
     for _ in range(40):
