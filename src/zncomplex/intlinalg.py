@@ -89,14 +89,15 @@ def smith_normal_form(matrix) -> SnfResult:
 def _eliminate_units(columns, row_count: int, record: bool = False):
     """Eliminate the +-1 pivots of a sparse integer matrix in Markowitz order.
 
-    columns[j] maps a row index in 0..row_count-1 to the entry of column j;
-    absent and zero entries are zero.  Every +-1 entry is a candidate pivot,
-    taken cheapest first by its Markowitz cost (row count - 1) * (column
-    count - 1).  A lazy heap holds the candidates: a popped cost that has
-    since grown is pushed back with its current value, and entries that
-    fill in as +-1 are pushed as they appear.  Eliminating a unit pivot p at
-    (i, j) takes row i and column j out and leaves the Schur complement
-    a_rc - a_rj * p * a_ic on the rest (Dumas, Saunders & Villard 2001).
+    columns: any iterable of sparse columns, read once; column j maps a row
+    index in 0..row_count-1 to its entry, absent and zero entries zero.
+    Every +-1 entry is a candidate pivot, taken cheapest first by its
+    Markowitz cost (row count - 1) * (column count - 1).  A lazy heap holds
+    the candidates: a popped cost that has since grown is pushed back with
+    its current value, and entries that fill in as +-1 are pushed as they
+    appear.  Eliminating a unit pivot p at (i, j) takes row i and column j
+    out and leaves the Schur complement a_rc - a_rj * p * a_ic on the rest
+    (Dumas, Saunders & Villard 2001).
 
     Returns (rows, cols, units, steps): the remainder as sparse rows and
     columns (eliminated ones empty), the number of pivots, and, when
@@ -167,8 +168,8 @@ def _eliminate_units(columns, row_count: int, record: bool = False):
 def sparse_snf(columns, row_count: int) -> SnfResult:
     """Smith normal form of a sparse integer matrix, without transforms.
 
-    columns[j] maps a row index in 0..row_count-1 to the entry of column j;
-    absent and zero entries are zero.
+    columns: any iterable of sparse columns, read once; column j maps a row
+    index in 0..row_count-1 to its entry, absent and zero entries zero.
 
     The unit pivots go first, through _eliminate_units; each leaves a 1 on
     the diagonal.  The dense remainder that no unit reaches goes to

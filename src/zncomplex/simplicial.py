@@ -4,10 +4,11 @@ A complex stores every face explicitly (the complexes here are 2-dimensional
 and small) as strictly increasing vertex tuples.  All operations are pure;
 nothing mutates a complex in place.
 
-collapse_spurs identifies a whole sequence of spurs in one pass: it keeps one
-mutable neighbor map of the quotient, checks each spur against it with the
-rules of is_spur, and compacts the ids and rewrites the faces once at the
-end.  collapse_spur is its one-spur case.
+collapse_spurs identifies a whole sequence of spurs in one pass: it builds
+one mutable neighbor map of the quotient straight from the start complex's
+edges, checks each spur against it with the rules of is_spur, drops it after
+the last merge, and compacts the ids and builds the quotient's face set once
+at the end.  collapse_spur is its one-spur case.
 
 Every complex keeps one face index, built on first use: its faces bucketed
 by dimension, each bucket sorted once.  faces_of_dim, face_counts, dim and
@@ -30,8 +31,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
-from typing import AbstractSet, Iterable, Mapping
+from itertools import chain, combinations, islice
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import InvalidComplexError, ScxFormatError, SpurError
 from .intlinalg import SnfResult, sparse_snf
@@ -77,13 +78,7 @@ class SimplicialComplex:
     @cached_property
     def _adjacency(self) -> dict[int, frozenset[int]]:
         """Vertex -> neighbor set, computed once per complex."""
-        out: dict[int, set[int]] = {}
-        for f in self.faces:
-            if len(f) == 2:
-                a, b = f
-                out.setdefault(a, set()).add(b)
-                out.setdefault(b, set()).add(a)
-        return {v: frozenset(s) for v, s in out.items()}
+        return {v: frozenset(s) for v, s in _neighbor_sets(self.faces).items()}
 
     @cached_property
     def _cotree(self) -> tuple[Face, ...]:
@@ -115,16 +110,27 @@ class SimplicialComplex:
         return _scan(self)
 
 
+def _neighbor_sets(faces: Iterable[Face]) -> dict[int, set[int]]:
+    """Vertex -> mutable neighbor set, read off the edges among the faces."""
+    out: dict[int, set[int]] = {}
+    for f in faces:
+        if len(f) == 2:
+            a, b = f
+            out.setdefault(a, set()).add(b)
+            out.setdefault(b, set()).add(a)
+    return out
+
+
 def closure_of(faces: Iterable[Iterable[int]]) -> frozenset[Face]:
-    """All nonempty subsets of the given faces, as sorted tuples."""
-    out: set[Face] = set()
-    for face in faces:
-        vs = tuple(sorted(set(face)))
-        if not vs:
-            continue
-        for k in range(1, len(vs) + 1):
-            out.update(combinations(vs, k))
-    return frozenset(out)
+    """All nonempty subsets of the given faces, as sorted tuples.
+
+    One generator over every face's subsets feeds the frozenset, so no
+    intermediate set is built.
+    """
+    vertex_tuples = (tuple(sorted(set(face))) for face in faces)
+    return frozenset(sub for vs in vertex_tuples
+                     for k in range(1, len(vs) + 1)
+                     for sub in combinations(vs, k))
 
 
 def from_maximal_faces(maximal: Iterable[Iterable[int]],
@@ -210,23 +216,23 @@ def require_valid(complex_: SimplicialComplex) -> None:
 
 def _boundary_columns(complex_: SimplicialComplex, k: int,
                       rows: Iterable[Face] | None = None
-                      ) -> tuple[list[dict[int, int]], int]:
+                      ) -> tuple[Iterator[dict[int, int]], int]:
     """The boundary map from k-chains to (k-1)-chains, as sparse columns.
 
-    Returns (columns, row count).  Rows are indexed by rows, the (k-1)-faces
-    to keep (all of them, sorted, by default), columns by the sorted k-faces;
-    column j maps each kept facet of k-face j to the usual alternating sign
-    on sorted vertex tuples, so dropped rows project the map.  For k <= 0
-    the map is zero and has no rows.
+    Returns (columns, row count), where columns is a generator that builds
+    each column as it is read, so a reader that reads them once never holds
+    them all.  Rows are indexed by rows, the (k-1)-faces to keep (all of
+    them, sorted, by default), columns by the sorted k-faces; column j maps
+    each kept facet of k-face j to the usual alternating sign on sorted
+    vertex tuples, so dropped rows project the map.  For k <= 0 there are no
+    (k-1)-faces, so the map is zero and has no rows.
     """
     upper = complex_.faces_of_dim(k)
-    if k <= 0:
-        return [{} for _ in upper], 0
     if rows is None:
         rows = complex_.faces_of_dim(k - 1)
     index = {f: i for i, f in enumerate(rows)}
-    columns = [{index[facet]: (-1) ** drop for drop in range(len(f))
-                if (facet := f[:drop] + f[drop + 1:]) in index} for f in upper]
+    columns = ({index[facet]: (-1) ** drop for drop in range(len(f))
+                if (facet := f[:drop] + f[drop + 1:]) in index} for f in upper)
     return columns, len(index)
 
 
@@ -237,7 +243,8 @@ def boundary_matrix(complex_: SimplicialComplex, k: int) -> list[list[int]]:
     the sorted (k-1)-faces, columns by the sorted k-faces.  For k = 0 the
     map is zero (a 0 x n matrix).
     """
-    columns, row_count = _boundary_columns(complex_, k)
+    streamed, row_count = _boundary_columns(complex_, k)
+    columns = list(streamed)
     matrix = [[0] * len(columns) for _ in range(row_count)]
     for j, column in enumerate(columns):
         for i, v in column.items():
@@ -254,17 +261,20 @@ class Homology:
 def _reduce_boundary(complex_: SimplicialComplex, k: int) -> SnfResult:
     """A Smith form with the rank and the torsion of d_k, on a valid complex.
 
-    F is the complex's spanning forest.  d_1, the signed incidence matrix of
-    the graph, is totally unimodular, so its rank is the edge count of F and
-    every nonzero invariant is 1.  sparse_snf reduces d_2 on the rows of the
-    edges outside F, that is p d_2 for the projection p onto them.  An edge
-    e outside F closes one cycle with F, with coefficient +-1 on e and 0 on
-    the other edges outside F.  These cycles are a basis of ker d_1, so p
-    maps ker d_1, a direct summand that holds im d_2, isomorphically onto
-    its image.  Hence p d_2 has the nonzero invariants of d_2 and its
-    cokernel is H_1, torsion included; only the trailing zeros differ.
-    d_k for k >= 3 keeps every row.
+    d_k for k <= 0 or k > dim has no rows or no columns, so its Smith form
+    is empty and nothing is built.  F is the complex's spanning forest.
+    d_1, the signed incidence matrix of the graph, is totally unimodular, so
+    its rank is the edge count of F and every nonzero invariant is 1.
+    sparse_snf reduces d_2 on the rows of the edges outside F, that is p d_2
+    for the projection p onto them.  An edge e outside F closes one cycle
+    with F, with coefficient +-1 on e and 0 on the other edges outside F.
+    These cycles are a basis of ker d_1, so p maps ker d_1, a direct summand
+    that holds im d_2, isomorphically onto its image.  Hence p d_2 has the
+    nonzero invariants of d_2 and its cokernel is H_1, torsion included;
+    only the trailing zeros differ.  d_k for k >= 3 keeps every row.
     """
+    if k <= 0 or k > complex_.dim:
+        return SnfResult((), 0)
     if k != 1:
         rows = complex_._cotree if k == 2 else None
         return sparse_snf(*_boundary_columns(complex_, k, rows))
@@ -408,7 +418,7 @@ def collapse_spurs(complex_: SimplicialComplex, u: int,
     _require_known(complex_, [u])
     # The quotient's edges, over class ids; a spur identifies no two vertices
     # of one face, so every edge of the quotient is the image of an edge.
-    adjacency = {v: set(ns) for v, ns in complex_._adjacency.items()}
+    adjacency = _neighbor_sets(complex_.faces)
     class_of = list(range(count))
     members_of: dict[int, list[int]] = {}
     pendants = 0
@@ -435,16 +445,16 @@ def collapse_spurs(complex_: SimplicialComplex, u: int,
             for v in moved:
                 class_of[v] = target
             target_members.extend(moved)
+    del adjacency, members_of
     survivors = [v for v in range(count) if class_of[v] == v]
     compact = {v: i for i, v in enumerate(survivors)}
     mapping = {v: compact[class_of[v]] for v in range(count)}
-    faces = {tuple(sorted(mapping[v] for v in f)) for f in complex_.faces}
     base = mapping[u]
-    for w in range(len(survivors), len(survivors) + pendants):
-        faces.add((w,))
-        faces.add((base, w))
-    return (SimplicialComplex(frozenset(faces), len(survivors) + pendants),
-            mapping)
+    fresh = range(len(survivors), len(survivors) + pendants)
+    faces = frozenset(chain(
+        (tuple(sorted(mapping[v] for v in f)) for f in complex_.faces),
+        ((w,) for w in fresh), ((base, w) for w in fresh)))
+    return SimplicialComplex(faces, len(survivors) + pendants), mapping
 
 
 def collapse_spur(complex_: SimplicialComplex, u: int,
