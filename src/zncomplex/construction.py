@@ -1,21 +1,22 @@
 """Builders for the small complexes with free-abelian first homology.
 
 build_w(n) assembles the complex on n^2 + n + 1 vertices from one 7-vertex
-torus block per index pair; build_spurs partitions its two-index vertices
-into pairwise compatible spurs using an orthogonal pair of 1-factorizations,
-each spur the frozenset of its members, all based at u; build_x collapses
-all of those spurs in one pass of simplicial.collapse_spurs, which checks
-each spur in the quotient left by the ones before it.
+torus block per index pair, listing its faces in closed form; build_spurs
+partitions its two-index vertices into pairwise compatible spurs using an
+orthogonal pair of 1-factorizations, each spur the frozenset of its members,
+all based at u; build_x collapses all of those spurs in one pass of
+simplicial.collapse_spurs, which checks each spur in the quotient left by
+the ones before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import UnsupportedSizeError
 from .factorization import OrthogonalPair, orthogonal_pair
-from .simplicial import SimplicialComplex, collapse_spurs, from_maximal_faces
+from .simplicial import SimplicialComplex, collapse_spurs
 
 # Triangles of the 7-vertex torus block, read off its planar diagram as
 # index patterns over (u, vi1, vi2, vj1, vj2, w1, w2).  Together with the
@@ -36,6 +37,10 @@ def torus_block(u: int, vi1: int, vi2: int, vj1: int, vj2: int,
         raise ValueError(f"labels must be distinct, got {labels}")
     return [tuple(sorted(labels[i] for i in pattern))
             for pattern in _BLOCK_PATTERNS]
+
+
+# The block's triangles over increasing labels 0..6, each already sorted.
+_SORTED_PATTERNS = torus_block(*range(7))
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,11 @@ def build_w(n: int) -> tuple[SimplicialComplex, WnLabeling]:
 
     Vertex ids are assigned deterministically: u = 0, then the 2n rim
     vertices, then the paired block vertices in lexicographic index order.
+    The faces are every vertex, each index's rim edges (u, v_i1),
+    (v_i1, v_i2), (u, v_i2), and each block's 21 label pairs and 14
+    triangles: the closure of the rim edges and the triangles, since these
+    cover all pairs of a block's labels.  The labels increase, so each
+    triangle is a sorted pattern over 0..6 read through them.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -78,15 +88,17 @@ def build_w(n: int) -> tuple[SimplicialComplex, WnLabeling]:
         for k in (1, 2):
             w[(i, j, k)] = next_id
             next_id += 1
-    maximal: list[tuple[int, ...]] = []
-    for i in range(1, n + 1):
-        maximal.extend(((0, v[(i, 1)]), tuple(sorted((v[(i, 1)], v[(i, 2)]))),
-                        (0, v[(i, 2)])))
-    for i, j in combinations(range(1, n + 1), 2):
-        maximal.extend(torus_block(0, v[(i, 1)], v[(i, 2)], v[(j, 1)],
-                                   v[(j, 2)], w[(i, j, 1)], w[(i, j, 2)]))
-    complex_ = from_maximal_faces(maximal, vertex_count=next_id)
-    return complex_, WnLabeling(n=n, u=0, v=v, w=w)
+    blocks = ((0, v[i, 1], v[i, 2], v[j, 1], v[j, 2], w[i, j, 1], w[i, j, 2])
+              for i, j in combinations(range(1, n + 1), 2))
+    faces = frozenset(chain(
+        ((x,) for x in range(next_id)),
+        (edge for i in range(1, n + 1)
+         for edge in ((0, v[i, 1]), (v[i, 1], v[i, 2]), (0, v[i, 2]))),
+        (face for labels in blocks for face in chain(
+            combinations(labels, 2),
+            (tuple(labels[t] for t in pattern)
+             for pattern in _SORTED_PATTERNS)))))
+    return SimplicialComplex(faces, next_id), WnLabeling(n=n, u=0, v=v, w=w)
 
 
 def build_spurs(pair: OrthogonalPair,

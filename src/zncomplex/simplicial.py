@@ -4,11 +4,13 @@ A complex stores every face explicitly (the complexes here are 2-dimensional
 and small) as strictly increasing vertex tuples.  All operations are pure;
 nothing mutates a complex in place.
 
+is_spur and collapse_spurs decide a spur in one pass over its members'
+neighbor sets; only a set that fails is scanned pair by pair, to word it.
 collapse_spurs identifies a whole sequence of spurs in one pass: it builds
 one mutable neighbor map of the quotient straight from the start complex's
 edges, checks each spur against it with the rules of is_spur, drops it after
-the last merge, and compacts the ids and builds the quotient's face set once
-at the end.  collapse_spur is its one-spur case.
+the last merge, then compacts the ids in a list indexed by original vertex
+and builds the quotient's face set once.  collapse_spur is its one-spur case.
 
 Every complex keeps one face index, built on first use: its faces bucketed
 by dimension, each bucket sorted once.  faces_of_dim, face_counts, dim and
@@ -312,15 +314,23 @@ def homology_through(complex_: SimplicialComplex, top: int) -> list[Homology]:
 
 def _spur_violations(adjacency: Mapping[int, AbstractSet[int]], u: int,
                      members: list[int]) -> list[str]:
-    """is_spur's rules over a vertex -> neighbor-set map.
+    """is_spur's rules over a symmetric vertex -> neighbor-set map.
 
     members is sorted and duplicate-free; a vertex missing from the map has
-    no neighbors.
+    no neighbors.  A member adjacent to u has u among its neighbors, so the
+    k neighbor sets meet only in u exactly when their sizes sum to
+    k + |union| - 1.  With base adjacency and no member in the union, that
+    decides a spur in one pass; only a failing set is scanned pair by pair.
     """
     if u in members:
         return [f"base vertex {u} is in the set"]
     none: frozenset[int] = frozenset()
     base_neighbors = adjacency.get(u, none)
+    neighbor_sets = [adjacency.get(v, none) for v in members]
+    union = set().union(*neighbor_sets)
+    if (base_neighbors.issuperset(members) and union.isdisjoint(members)
+            and sum(map(len, neighbor_sets)) == len(members) + len(union) - 1):
+        return []
     violations = []
     for v in members:
         if v not in base_neighbors:
@@ -349,7 +359,8 @@ def is_spur(complex_: SimplicialComplex, u: int,
 
     The members must all be adjacent to u, pairwise non-adjacent, and must
     share no common neighbor other than u.  The empty set passes vacuously
-    (it collapses to a fresh pendant vertex, see collapse_spurs).
+    (it collapses to a fresh pendant vertex, see collapse_spurs).  One pass
+    decides it; only a failing set is scanned pair by pair, for the messages.
     """
     members = sorted(set(members))
     _require_known(complex_, [u, *members])
@@ -400,7 +411,8 @@ def collapse_spurs(complex_: SimplicialComplex, u: int,
     Each spur is given by the original ids of its members and is checked
     with is_spur's rules in the quotient it meets, that is after every
     earlier spur in the sequence has been identified (members identified
-    with each other already count once); the first that fails raises
+    with each other already count once), in one pass over its classes'
+    neighbor sets; the first that fails is scanned pair by pair and raises
     SpurError, whose violations name each class of identified vertices by
     its smallest original id.  Identifying a nonempty spur merges its
     members' classes.  The empty spur attaches a fresh pendant vertex at u
@@ -412,7 +424,8 @@ def collapse_spurs(complex_: SimplicialComplex, u: int,
     the order of their smallest original ids, and the fresh pendant vertices
     follow, in the order of their spurs.  This is the numbering that
     collapsing the spurs one at a time and compacting after each step gives.
-    Returns the quotient and the map from every original vertex to its id.
+    A list indexed by the original vertex holds the new ids and rewrites the
+    faces.  Returns the quotient and the map from each original vertex to its id.
     """
     count = complex_.vertex_count
     _require_known(complex_, [u])
@@ -448,13 +461,13 @@ def collapse_spurs(complex_: SimplicialComplex, u: int,
     del adjacency, members_of
     survivors = [v for v in range(count) if class_of[v] == v]
     compact = {v: i for i, v in enumerate(survivors)}
-    mapping = {v: compact[class_of[v]] for v in range(count)}
-    base = mapping[u]
+    image = [compact[c] for c in class_of]
     fresh = range(len(survivors), len(survivors) + pendants)
     faces = frozenset(chain(
-        (tuple(sorted(mapping[v] for v in f)) for f in complex_.faces),
-        ((w,) for w in fresh), ((base, w) for w in fresh)))
-    return SimplicialComplex(faces, len(survivors) + pendants), mapping
+        (tuple(sorted(map(image.__getitem__, f))) for f in complex_.faces),
+        ((w,) for w in fresh), ((image[u], w) for w in fresh)))
+    quotient = SimplicialComplex(faces, len(survivors) + pendants)
+    return quotient, dict(enumerate(image))
 
 
 def collapse_spur(complex_: SimplicialComplex, u: int,

@@ -19,6 +19,7 @@ from zncomplex.construction import (
     dumps_labeling,
     torus_block,
 )
+from zncomplex import simplicial
 from zncomplex.errors import SpurError, UnsupportedSizeError
 from zncomplex.factorization import orthogonal_pair
 from zncomplex.simplicial import (
@@ -80,6 +81,45 @@ def test_torus_block_is_a_torus():
         link = vertex_link(complex_, v)
         assert len(link) == 6
         assert is_single_cycle(link)
+
+
+def test_sorted_block_patterns_cover_every_pair():
+    patterns = torus_block(*range(7))
+    assert all(list(t) == sorted(t) for t in patterns)
+    assert ({pair for t in patterns for pair in combinations(t, 2)}
+            == set(combinations(range(7), 2)))
+
+
+def w_by_closure(n):
+    """W_n as the closure of its rim edges and every block's triangles."""
+    v = {}
+    next_id = 1
+    for i in range(1, n + 1):
+        for k in (1, 2):
+            v[(i, k)] = next_id
+            next_id += 1
+    w = {}
+    for i, j in combinations(range(1, n + 1), 2):
+        for k in (1, 2):
+            w[(i, j, k)] = next_id
+            next_id += 1
+    maximal = []
+    for i in range(1, n + 1):
+        maximal.extend(((0, v[(i, 1)]), tuple(sorted((v[(i, 1)], v[(i, 2)]))),
+                        (0, v[(i, 2)])))
+    for i, j in combinations(range(1, n + 1), 2):
+        maximal.extend(torus_block(0, v[(i, 1)], v[(i, 2)], v[(j, 1)],
+                                   v[(j, 2)], w[(i, j, 1)], w[(i, j, 2)]))
+    return from_maximal_faces(maximal, vertex_count=next_id), v, w
+
+
+def test_w_faces_in_closed_form_match_the_closure():
+    for n in [*range(1, 31), 48]:
+        complex_, labeling = build_w(n)
+        expected, v, w = w_by_closure(n)
+        assert complex_.faces == expected.faces, n
+        assert complex_.vertex_count == expected.vertex_count, n
+        assert (labeling.n, labeling.u, labeling.v, labeling.w) == (n, 0, v, w)
 
 
 def test_torus_block_rejects_duplicate_labels():
@@ -372,3 +412,15 @@ def test_build_x_peak_stays_near_the_size_of_its_result():
     assert complex_.vertex_count == 8 * 14 - 1
     ratio = (peak - before) / (held - before)
     assert ratio < 2.1, f"peak {peak - before} B for a result of {held - before} B"
+
+
+def test_spurs_that_pass_skip_the_pairwise_scan(monkeypatch):
+    complex_, labeling = build_w(28)
+    spurs = build_spurs(orthogonal_pair(28), labeling)
+
+    def pairwise_scan(*args):
+        raise AssertionError("the pairwise spur scan ran")
+
+    monkeypatch.setattr(simplicial, "combinations", pairwise_scan)
+    assert all(is_spur(complex_, labeling.u, spur) for spur in spurs)
+    assert build_x(28).vertex_count == 8 * 14 - 1

@@ -363,6 +363,69 @@ def test_is_spur_violations():
         is_spur(complex_, 0, {9})
 
 
+def pairwise_spur_violations(adjacency, u, members):
+    """is_spur's rules checked pair by pair, the scan that words a failure."""
+    if u in members:
+        return [f"base vertex {u} is in the set"]
+    none = frozenset()
+    base_neighbors = adjacency.get(u, none)
+    violations = [f"member {v} is not adjacent to base {u}"
+                  for v in members if v not in base_neighbors]
+    for v, w in combinations(members, 2):
+        v_neighbors = adjacency.get(v, none)
+        if w in v_neighbors:
+            violations.append(f"members {v}, {w} are adjacent")
+        shared = (v_neighbors & adjacency.get(w, none)) - {u}
+        if shared:
+            violations.append(
+                f"members {v}, {w} share neighbor {min(shared)} besides {u}")
+    return violations
+
+
+def test_spur_violations_match_the_pairwise_scan_on_edge_cases():
+    star = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
+    cases = [
+        (star, [], True),  # the empty set
+        (star, [1, 2, 3], True),
+        (star, [0, 1], False),  # the base inside the set
+        ({0: {1}, 1: {0}, 2: {3}, 3: {2}}, [2], False),  # not at the base
+        ({0: {1, 2}, 1: {0, 2}, 2: {0, 1}}, [1, 2], False),  # adjacent
+        ({0: {1, 2}, 1: {0, 3}, 2: {0, 3}, 3: {1, 2}}, [1, 2], False),
+        # a shared neighbor that is itself a member
+        ({0: {1, 2, 3}, 1: {0, 3}, 2: {0, 3}, 3: {0, 1, 2}}, [1, 2, 3], False),
+        (star, [1, 4], False),  # 4 is missing from the map
+    ]
+    for adjacency, members, passes in cases:
+        expected = pairwise_spur_violations(adjacency, 0, members)
+        assert (not expected) == passes
+        assert simplicial._spur_violations(adjacency, 0, members) == expected
+
+
+def test_spur_violations_match_the_pairwise_scan_on_random_graphs():
+    rng = random.Random(28)
+    outcomes = Counter()
+    for _ in range(600):
+        size = rng.randint(1, 12)
+        density = rng.choice((0.1, 0.25, 0.5))
+        adjacency = {}
+        for a, b in combinations(range(size), 2):
+            if rng.random() < density:
+                adjacency.setdefault(a, set()).add(b)
+                adjacency.setdefault(b, set()).add(a)
+        if rng.random() < 0.5:
+            adjacency = {v: frozenset(s) for v, s in adjacency.items()}
+        u = rng.randrange(size)
+        if rng.random() < 0.6:  # mostly neighbors of u, often a spur
+            pool = sorted(adjacency.get(u, ()))
+        else:  # any ids, u and ids missing from the map included
+            pool = list(range(size + 2))
+        members = sorted(rng.sample(pool, rng.randint(0, len(pool))))
+        expected = pairwise_spur_violations(adjacency, u, members)
+        assert simplicial._spur_violations(adjacency, u, members) == expected
+        outcomes[not expected] += 1
+    assert outcomes[True] > 150 and outcomes[False] > 150, outcomes
+
+
 def test_are_compatible():
     # Two disjoint spurs with no cross edges.
     complex_ = from_maximal_faces([(0, 1), (0, 2), (0, 3), (0, 4)])
