@@ -12,7 +12,8 @@ the ones before it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
+from operator import itemgetter
 
 from .errors import UnsupportedSizeError
 from .factorization import OrthogonalPair, orthogonal_pair
@@ -39,8 +40,9 @@ def torus_block(u: int, vi1: int, vi2: int, vj1: int, vj2: int,
             for pattern in _BLOCK_PATTERNS]
 
 
-# The block's triangles over increasing labels 0..6, each already sorted.
-_SORTED_PATTERNS = torus_block(*range(7))
+# One getter per triangle of the block: it reads the triangle, already
+# sorted, off the block's seven increasing labels in one C call.
+_TRIANGLE_GETTERS = [itemgetter(*pattern) for pattern in torus_block(*range(7))]
 
 
 @dataclass(frozen=True)
@@ -88,16 +90,14 @@ def build_w(n: int) -> tuple[SimplicialComplex, WnLabeling]:
         for k in (1, 2):
             w[(i, j, k)] = next_id
             next_id += 1
-    blocks = ((0, v[i, 1], v[i, 2], v[j, 1], v[j, 2], w[i, j, 1], w[i, j, 2])
-              for i, j in combinations(range(1, n + 1), 2))
+    blocks = [(0, v[i, 1], v[i, 2], v[j, 1], v[j, 2], w[i, j, 1], w[i, j, 2])
+              for i, j in combinations(range(1, n + 1), 2)]
     faces = frozenset(chain(
         ((x,) for x in range(next_id)),
         (edge for i in range(1, n + 1)
          for edge in ((0, v[i, 1]), (v[i, 1], v[i, 2]), (0, v[i, 2]))),
-        (face for labels in blocks for face in chain(
-            combinations(labels, 2),
-            (tuple(labels[t] for t in pattern)
-             for pattern in _SORTED_PATTERNS)))))
+        chain.from_iterable(map(combinations, blocks, repeat(2))),
+        *(map(getter, blocks) for getter in _TRIANGLE_GETTERS)))
     return SimplicialComplex(faces, next_id), WnLabeling(n=n, u=0, v=v, w=w)
 
 

@@ -6,7 +6,7 @@ sparse_snf, which takes sparse columns.  Two routines reduce matrices, and
 everything else calls one of them:
 
 - _eliminate_units takes out the unit pivots of a sparse matrix in
-  Markowitz order.  sparse_snf runs it for simplicial's homology (d_2 on
+  Markowitz order, keyed by integers.  sparse_snf runs it for simplicial's homology (d_2 on
   the edges outside a spanning forest, d_k for k >= 3 on every row; d_1 is
   read off the forest), for the pipeline's rank checks and for
   smith_normal_form, which hands it the columns of a dense matrix.
@@ -35,7 +35,7 @@ everything else calls one of them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd
 
 
@@ -90,14 +90,18 @@ def _eliminate_units(columns, row_count: int, record: bool = False):
     """Eliminate the +-1 pivots of a sparse integer matrix in Markowitz order.
 
     columns: any iterable of sparse columns, read once; column j maps a row
-    index in 0..row_count-1 to its entry, absent and zero entries zero.
-    Every +-1 entry is a candidate pivot, taken cheapest first by its
-    Markowitz cost (row count - 1) * (column count - 1).  A lazy heap holds
-    the candidates: a popped cost that has since grown is pushed back with
-    its current value, and entries that fill in as +-1 are pushed as they
-    appear.  Eliminating a unit pivot p at (i, j) takes row i and column j
-    out and leaves the Schur complement a_rc - a_rj * p * a_ic on the rest
-    (Dumas, Saunders & Villard 2001).
+    index in 0..row_count-1 to its entry, absent and zero entries zero; an
+    entry that is not an integer raises ValueError.  Every +-1 entry is a
+    candidate pivot, taken cheapest first by its Markowitz cost (row count
+    - 1) * (column count - 1), then by row and column: the integer key
+    cost * R * C + i * C + j, for R rows and C columns, orders as (cost, i, j).
+    The first keys are sorted once, into a list read from its end; a lazy
+    heap takes the later ones: a popped cost that has since grown is pushed
+    back with its current value, and +-1 fill-ins are pushed as they appear.
+    Each step takes the smaller head, so the pivots come in the order of one
+    heap of every candidate.  Eliminating a unit pivot p at (i, j) takes row
+    i and column j out and leaves the Schur complement a_rc - a_rj * p * a_ic
+    on the rest (Dumas, Saunders & Villard 2001).
 
     Returns (rows, cols, units, steps): the remainder as sparse rows and
     columns (eliminated ones empty), the number of pivots, and, when
@@ -116,17 +120,21 @@ def _eliminate_units(columns, row_count: int, record: bool = False):
             if not 0 <= i < row_count:
                 raise ValueError(f"row index {i} outside 0..{row_count - 1}")
             if v:
-                col[i] = rows[i][j] = int(v)
+                if (n := int(v)) != v:
+                    raise ValueError(f"entry {v!r} at row {i}, column {j} is not an integer")
+                col[i] = rows[i][j] = n
         cols.append(col)
 
-    heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j)
-            for j, col in enumerate(cols) for i, v in col.items()
-            if v == 1 or v == -1]
-    heapify(heap)
+    width, size = len(cols), row_count * len(cols)
+    todo = sorted(((len(rows[i]) - 1) * (len(col) - 1) * size + i * width + j
+                   for j, col in enumerate(cols) for i, v in col.items()
+                   if v == 1 or v == -1), reverse=True)
+    heap: list[int] = []
     units = 0
     steps = [] if record else None
-    while heap:
-        cost, i, j = heappop(heap)
+    while todo or heap:
+        key = heappop(heap) if heap and (not todo or heap[0] < todo[-1]) else todo.pop()
+        cost, (i, j) = key // size, divmod(key % size, width)
         pivot_row = rows[i]
         p = pivot_row.get(j)
         if p != 1 and p != -1:
@@ -134,7 +142,7 @@ def _eliminate_units(columns, row_count: int, record: bool = False):
         pivot_col = cols[j]
         now = (len(pivot_row) - 1) * (len(pivot_col) - 1)
         if now > cost:
-            heappush(heap, (now, i, j))
+            heappush(heap, key + (now - cost) * size)
             continue
         units += 1
         if record:
@@ -158,7 +166,7 @@ def _eliminate_units(columns, row_count: int, record: bool = False):
                 if v:
                     row[c] = cols[c][r] = v
                     if v == 1 or v == -1:
-                        heappush(heap, ((len(row) - 1) * (len(cols[c]) - 1), r, c))
+                        heappush(heap, (len(row) - 1) * (len(cols[c]) - 1) * size + r * width + c)
                 elif c in row:
                     del row[c]
                     del cols[c][r]

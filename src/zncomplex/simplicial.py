@@ -13,16 +13,16 @@ the last merge, then compacts the ids in a list indexed by original vertex
 and builds the quotient's face set once.  collapse_spur is its one-spur case.
 
 Every complex keeps one face index, built on first use: its faces bucketed
-by dimension, each bucket sorted once.  faces_of_dim, face_counts, dim and
-the boundary maps read it, so no pass sorts the face set again.
+by dimension, each bucket sorted once; faces_of_dim, face_counts, dim,
+validate, the adjacency and the boundary maps all read it.
 
 homology_through reduces each boundary map d_k once; homology(k) is its last
 entry.  Each complex finds one spanning forest F of its graph, by union-find.
 d_1 is totally unimodular, so its Smith form is read off F.  d_2 is reduced
 by intlinalg.sparse_snf on the edges outside F only: that projection maps
 ker d_1, and so im d_2, isomorphically, which keeps rank d_2 and H_1.  d_k for
-k >= 3 is reduced on every row; boundary_matrix is the dense rendering of the
-full map.
+k >= 3 is reduced on every row.  Each column lists its face's facets by
+combinations; boundary_matrix is the dense rendering of the full map.
 
 compatible_spurs checks a whole spur collection for pairwise compatibility
 in one scan of the members' neighbors.
@@ -34,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
+from operator import itemgetter, lt
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import InvalidComplexError, ScxFormatError, SpurError
@@ -79,8 +80,8 @@ class SimplicialComplex:
 
     @cached_property
     def _adjacency(self) -> dict[int, frozenset[int]]:
-        """Vertex -> neighbor set, computed once per complex."""
-        return {v: frozenset(s) for v, s in _neighbor_sets(self.faces).items()}
+        """Vertex -> neighbor set, read off the edge bucket once per complex."""
+        return {v: frozenset(s) for v, s in _neighbor_sets(self.faces_of_dim(1)).items()}
 
     @cached_property
     def _cotree(self) -> tuple[Face, ...]:
@@ -108,7 +109,7 @@ class SimplicialComplex:
 
     @cached_property
     def _validation(self) -> Report:
-        """validate's report, from one scan per complex."""
+        """validate's report, from one _scan per complex."""
         return _scan(self)
 
 
@@ -168,18 +169,37 @@ MAX_SCX_CLOSURE = 1 << 20
 def validate(complex_: SimplicialComplex) -> Report:
     """Check the downward-closure, labeling and coverage invariants.
 
-    The faces are scanned in set order; only the (face, message) records of
-    the violations are sorted, stably, so they come in face order and a
-    valid complex sorts nothing.  At most UNCOVERED_NAMED vertices in no
-    face are named and the rest counted, so the scan of vertex ids ends
-    UNCOVERED_NAMED past the covered ones, whatever the vertex count.  The
-    scan runs once per complex; validate and require_valid share its report.
+    _scan decides validity over the face index.  Only a complex that fails
+    is scanned face by face, in set order; the (face, message) records of
+    its violations are sorted stably, so they come in face order.  At most
+    UNCOVERED_NAMED vertices in no face are named and the rest counted, so
+    the scan of vertex ids ends UNCOVERED_NAMED past the covered ones,
+    whatever the vertex count.  validate and require_valid share one report.
     """
     return complex_._validation
 
 
 def _scan(complex_: SimplicialComplex) -> Report:
-    """validate's one scan of the faces and the vertex ids."""
+    """validate's report, decided in C-level passes over the face index.
+
+    Valid means: no empty face, the 0-faces are (0,) .. (count - 1,) (their
+    number checked first), and each k-face increases and has its k + 1 facets
+    stored; these reach down to stored vertices, so range and coverage hold.
+    """
+    faces, vertices = complex_.faces, complex_.faces_of_dim(0)
+    if (() not in faces and len(vertices) == complex_.vertex_count
+            and vertices == tuple(zip(range(len(vertices))))
+            and all(all(map(lt, map(itemgetter(i), bucket), map(itemgetter(i + 1), bucket)))
+                    for k, bucket in enumerate(complex_._by_dim) for i in range(k))
+            and all(faces.issuperset(zip(*(map(itemgetter(t), bucket) for t in kept)))
+                    for k, bucket in enumerate(complex_._by_dim)
+                    for kept in combinations(range(k + 1), k))):
+        return Report(True)
+    return _word_violations(complex_)
+
+
+def _word_violations(complex_: SimplicialComplex) -> Report:
+    """validate's violations, from a scan of the faces and vertex ids."""
     faces = complex_.faces
     found: list[tuple[Face, str]] = []
     covered = set()
@@ -226,15 +246,17 @@ def _boundary_columns(complex_: SimplicialComplex, k: int,
     them all.  Rows are indexed by rows, the (k-1)-faces to keep (all of
     them, sorted, by default), columns by the sorted k-faces; column j maps
     each kept facet of k-face j to the usual alternating sign on sorted
-    vertex tuples, so dropped rows project the map.  For k <= 0 there are no
-    (k-1)-faces, so the map is zero and has no rows.
+    vertex tuples, so dropped rows project the map.  combinations(f, k)
+    drops f's last vertex first, so the signs run (-1)^k .. (-1)^0.  For
+    k <= 0 there are no (k-1)-faces, so the map is zero and has no rows.
     """
     upper = complex_.faces_of_dim(k)
     if rows is None:
         rows = complex_.faces_of_dim(k - 1)
     index = {f: i for i, f in enumerate(rows)}
-    columns = ({index[facet]: (-1) ** drop for drop in range(len(f))
-                if (facet := f[:drop] + f[drop + 1:]) in index} for f in upper)
+    signs = [(-1) ** drop for drop in range(k, -1, -1)]
+    columns = ({i: sign for facet, sign in zip(combinations(f, k), signs)
+                if (i := index.get(facet)) is not None} for f in upper)
     return columns, len(index)
 
 

@@ -1,6 +1,7 @@
 """Smith form and lattice utilities against independent oracles."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,9 +11,13 @@ from hypothesis import strategies as st
 
 import lattice_oracle
 from lattice_oracle import brute_rank, is_parallel, smith_diagonal
+from pivot_oracle import eliminate_units
+from zncomplex.construction import build_x
+from zncomplex.presentation import exponent_columns, extract_presentation
 from zncomplex import intlinalg
 from zncomplex.intlinalg import (
     SnfResult,
+    _eliminate_units,
     coordinates,
     echelon,
     plane_key,
@@ -460,3 +465,34 @@ def test_primitive_direction():
         if any(u) and any(v):
             same = primitive_direction(u) == primitive_direction(v)
             assert same == is_parallel(u, v)
+
+
+def test_snf_rejects_entries_that_are_not_integers():
+    for matrix in ([[2.5]], [[Fraction(7, 2)]], [[0.5, 1]]):
+        bad = next(v for v in matrix[0] if int(v) != v)
+        message = f"entry {bad!r} at row 0, column 0 is not an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            smith_normal_form(matrix)
+        with pytest.raises(ValueError, match="is not an integer"):
+            sparse_snf([{0: v} for v in matrix[0]], 1)
+    # integral entries of any type are read as today
+    assert smith_normal_form([[2.0, Fraction(4)], [True, 3]]).diagonal == (1, 2)
+
+
+def test_unit_elimination_pops_the_pivots_of_one_tuple_heap():
+    for m in (2, 7, 12, 28):
+        pres = extract_presentation(build_x(m), 0)
+        k = len(pres.generators)
+        assert (_eliminate_units(exponent_columns(pres), k, record=True)
+                == eliminate_units(exponent_columns(pres), k, record=True))
+    rng = random.Random(4242)
+    events = {}
+    for _ in range(2000):
+        rows, width, density = rng.randint(0, 9), rng.randint(0, 9), rng.random()
+        columns = [{i: rng.choice((-2, -1, 1, 2, 3)) for i in range(rows)
+                    if rng.random() < density} for _ in range(width)]
+        record = rng.random() < 0.5
+        assert (_eliminate_units(columns, rows, record)
+                == eliminate_units(columns, rows, record, events)), columns
+    # the later pushes, which go to the heap, both occur in the sample
+    assert events["fill"] >= 20 and events["regrown"] >= 20

@@ -12,12 +12,13 @@ import pytest
 from euler_oracle import euler_characteristic
 from lattice_oracle import brute_rank, smith_diagonal
 from spur_oracle import are_compatible
+from validity_oracle import scan_violations
 from zncomplex import simplicial
 from zncomplex.cli import main
 from zncomplex.errors import InvalidComplexError, ScxFormatError, SpurError
 from zncomplex.intlinalg import SnfResult, sparse_snf
 from zncomplex.report import Report
-from zncomplex.construction import build_w
+from zncomplex.construction import build_w, build_x
 from zncomplex.simplicial import (
     MAX_FACE_VERTICES,
     MAX_SCX_CLOSURE,
@@ -711,3 +712,45 @@ def test_scx_total_closure_is_capped(tmp_path, capsys):
 def test_scx_closure_cap_admits_the_largest_complex_the_cli_writes():
     complex_, _ = build_w(100)
     assert loads_scx(dumps_scx(complex_)) == complex_
+
+
+def single_fault_mutants(complex_, rng):
+    """One complex per single fault: a face dropped, a bad face added, the
+    vertex count raised."""
+    faces, count = complex_.faces, complex_.vertex_count
+    dropped = [faces - {rng.choice(bucket)}
+               for bucket in complex_._by_dim[:3] if bucket]
+    added = [faces | {extra}
+             for extra in ((1, 0), (0, 1, 1), (count,), (0, count), (-1,), ())]
+    return ([SimplicialComplex(f, count) for f in dropped + added]
+            + [SimplicialComplex(faces, count + 1),
+               SimplicialComplex(faces, count + 12)])
+
+
+def test_validate_matches_the_per_face_scan():
+    rng = random.Random(2029)
+    complexes = [c for m in (1, 2, 7, 12, 28) for c in (build_w(m)[0], build_x(m))]
+    complexes += [random_complex(rng) for _ in range(60)]
+    valid, kinds = 0, Counter()
+    for complex_ in complexes:
+        for case in [complex_, *single_fault_mutants(complex_, rng)]:
+            expected = scan_violations(case)
+            report = validate(case)
+            assert list(report.violations) == expected, sorted(case.faces)
+            assert report.ok == (not expected)
+            valid += not expected
+            kinds.update(v.split()[0] for v in expected)
+    # every kind of violation occurs, uncovered vertices named and counted
+    assert valid >= 70
+    assert min(kinds[k] for k in ("empty", "face", "missing", "vertex", "...")) >= 50
+
+
+def test_validate_words_only_a_failure(monkeypatch):
+    def refuse(complex_):
+        raise AssertionError("worded a valid complex")
+
+    monkeypatch.setattr(simplicial, "_word_violations", refuse)
+    assert validate(build_w(28)[0]) and validate(build_x(28))
+    assert homology_through(build_x(28), 2)[1] == Homology(28)
+    with pytest.raises(AssertionError, match="worded a valid complex"):
+        validate(SimplicialComplex(frozenset({(0,), (1, 0)}), 1))
