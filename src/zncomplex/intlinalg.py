@@ -6,11 +6,15 @@ sparse_snf, which takes sparse columns.  Two routines reduce matrices, and
 everything else calls one of them:
 
 - _eliminate_units takes out the unit pivots of a sparse matrix in
-  Markowitz order, keyed by integers.  sparse_snf runs it for simplicial's homology (d_2 on
-  the edges outside a spanning forest, d_k for k >= 3 on every row; d_1 is
-  read off the forest), for the pipeline's rank checks and for
-  smith_normal_form, which hands it the columns of a dense matrix.
-  presentation.abelian_images runs it to log each eliminated generator.
+  Markowitz order, keyed by integers.  sparse_snf first contracts a
+  spanning forest of the rows with two +-1 entries, by a signed union-find
+  over the columns, and hands it only the rows the forest leaves.
+  sparse_snf serves simplicial's homology (d_2 on the edges outside the
+  graph's spanning forest, where the two-unit rows are the edges of the
+  dual graph, d_k for k >= 3 on every row; d_1 is read off the graph's
+  forest), the pipeline's rank checks and smith_normal_form, which hands
+  it the columns of a dense matrix.  presentation.abelian_images runs
+  _eliminate_units on its whole matrix, to log each eliminated generator.
 - echelon is integer row echelon form by Euclid, with its transform.  It
   diagonalizes what unit elimination leaves: _smith_diagonal alternates it
   on rows and columns, for sparse_snf and hence smith_normal_form, which
@@ -109,8 +113,9 @@ def _eliminate_units(columns, row_count: int, record: bool = False):
     column holds column j's entries at that moment, row i's included.  Read
     with the columns as relations on the row generators e_r, a step says
     e_i = -p * sum(a_kj * e_k for k != i) modulo the relations left.
-    sparse_snf and presentation.abelian_images share this core; only the
-    latter records.
+    presentation.abelian_images runs it on its whole matrix and records.
+    sparse_snf runs it only on what its spanning forest leaves, which for
+    simplicial's d_2 on W_m and X_m is nothing.
     """
     cols: list[dict[int, int]] = []
     rows: list[dict[int, int]] = [{} for _ in range(row_count)]
@@ -177,18 +182,95 @@ def sparse_snf(columns, row_count: int) -> SnfResult:
     """Smith normal form of a sparse integer matrix, without transforms.
 
     columns: any iterable of sparse columns, read once; column j maps a row
-    index in 0..row_count-1 to its entry, absent and zero entries zero.
+    index in 0..row_count-1 to its entry, absent and zero entries zero; a
+    row index outside that range or an entry that is not an integer raises
+    ValueError, checked in the order and words of _eliminate_units.
 
-    The unit pivots go first, through _eliminate_units; each leaves a 1 on
-    the diagonal.  The dense remainder that no unit reaches goes to
-    _smith_diagonal.  presentation.abelian_images shares the elimination
-    and also reads its images off echelon's kernel of the remainder.
+    First a spanning forest F is contracted.  Read the rows with exactly
+    two nonzero entries, both +-1, as edges of a graph on the columns (for
+    simplicial's d_2 on cotree rows, the dual graph).  A signed union-find
+    puts such a row (j, a), (k, b) in F when it joins two components: one
+    root goes under the other so that sigma_k = -sigma_j * a * b, where
+    sigma_c is column c's sign relative to its root.  Every other row stays,
+    and each of its entries v in column c is added as sigma_c * v to c's
+    root column; zero sums are dropped, and so are the rows left empty.
+
+    |F| ones and the remainder's diagonal make the Smith diagonal, padded
+    with zeros to min(rows, columns).  Replacing each root column by
+    sum(sigma_c * col_c) over its component is a unimodular column
+    operation, and it zeroes every F row there, since the row's two terms
+    sigma_j * a + sigma_k * b cancel.  The block of the F rows and the
+    non-root columns is then the reduced signed incidence matrix of a
+    forest: square, and triangular with +-1 on the diagonal when its rows
+    and columns are taken leaf by leaf, so unimodular.  Row operations by
+    the F rows therefore clear the other rows' non-root entries without
+    touching the root columns, and the matrix is equivalent to 1^|F| (+)
+    the remainder.  The Smith diagonal is unique, so this route gives the
+    one that eliminating the whole matrix gives.
+
+    The remainder's unit pivots go through _eliminate_units; each leaves a
+    1 on the diagonal.  The dense remainder that no unit reaches goes to
+    _smith_diagonal.  presentation.abelian_images shares the elimination,
+    on its whole matrix, and also reads its images off echelon's kernel of
+    the remainder.
     """
-    rows, cols, units, _ = _eliminate_units(columns, row_count)
+    rows: list[dict[int, int]] = [{} for _ in range(row_count)]
+    width = 0
+    for column in columns:
+        for i, v in column.items():
+            if not 0 <= i < row_count:
+                raise ValueError(f"row index {i} outside 0..{row_count - 1}")
+            if v:
+                if (n := int(v)) != v:
+                    raise ValueError(f"entry {v!r} at row {i}, column {width} is not an integer")
+                rows[i][width] = n
+        width += 1
+
+    parent = list(range(width))
+    sign = [1] * width  # relative to the parent; a root's is 1
+
+    def find(c: int) -> tuple[int, int]:
+        """c's root and c's sign relative to it, halving the path."""
+        s = 1
+        while (p := parent[c]) != c:
+            sign[c] *= sign[p]
+            parent[c] = g = parent[p]
+            s *= sign[c]
+            c = g
+        return c, s
+
+    forest = 0
+    kept = []
+    for row in rows:
+        if len(row) == 2:
+            (j, a), (k, b) = row.items()
+            if abs(a) == abs(b) == 1:
+                (rj, sj), (rk, sk) = find(j), find(k)
+                if rj != rk:
+                    parent[rk] = rj
+                    sign[rk] = -sj * a * b * sk
+                    forest += 1
+                    continue
+        if row:
+            kept.append(row)
+
+    remainder: dict[int, dict[int, int]] = {}
+    count = 0
+    for row in kept:
+        sums: dict[int, int] = {}
+        for c, v in row.items():
+            root, s = find(c)
+            sums[root] = sums.get(root, 0) + s * v
+        for root, v in sums.items():
+            if v:
+                remainder.setdefault(root, {})[count] = v
+        count += any(sums.values())
+
+    rows, cols, units, _ = _eliminate_units(remainder.values(), count)
     live_cols = [j for j, col in enumerate(cols) if col]
     rest = [[row.get(j, 0) for j in live_cols] for row in rows if row]
-    nonzero = (1,) * units + _smith_diagonal(rest)
-    limit = min(row_count, len(cols))
+    nonzero = (1,) * (forest + units) + _smith_diagonal(rest)
+    limit = min(row_count, width)
     return SnfResult(diagonal=nonzero + (0,) * (limit - len(nonzero)),
                      rank=len(nonzero))
 

@@ -20,9 +20,14 @@ homology_through reduces each boundary map d_k once; homology(k) is its last
 entry.  Each complex finds one spanning forest F of its graph, by union-find.
 d_1 is totally unimodular, so its Smith form is read off F.  d_2 is reduced
 by intlinalg.sparse_snf on the edges outside F only: that projection maps
-ker d_1, and so im d_2, isomorphically, which keeps rank d_2 and H_1.  d_k for
-k >= 3 is reduced on every row.  Each column lists its face's facets by
-combinations; boundary_matrix is the dense rendering of the full map.
+ker d_1, and so im d_2, isomorphically, which keeps rank d_2 and H_1.  On
+those rows, an edge in exactly two triangles is a row with two +-1 entries,
+an edge of the dual graph on the triangles, and sparse_snf contracts a
+spanning forest of that graph before any elimination.  So the primal forest
+takes d_1 and the dual forest takes d_2, on W_m and X_m all of its rank
+(the tree-cotree decomposition, Eppstein 2003).  d_k for k >= 3 is reduced
+on every row.  Each column lists its face's facets by combinations;
+boundary_matrix is the dense rendering of the full map.
 
 compatible_spurs checks a whole spur collection for pairwise compatibility
 in one scan of the members' neighbors.
@@ -295,7 +300,12 @@ def _reduce_boundary(complex_: SimplicialComplex, k: int) -> SnfResult:
     These cycles are a basis of ker d_1, so p maps ker d_1, a direct summand
     that holds im d_2, isomorphically onto its image.  Hence p d_2 has the
     nonzero invariants of d_2 and its cokernel is H_1, torsion included;
-    only the trailing zeros differ.  d_k for k >= 3 keeps every row.
+    only the trailing zeros differ.  The rows of p d_2 with two +-1 entries
+    are the edges outside F that lie in two triangles: the dual graph's
+    edges.  sparse_snf contracts a spanning forest of them, so the primal
+    forest F takes d_1 and the dual forest takes d_2, up to what no forest
+    reaches (on W_m and X_m, m rows whose entries all cancel).  d_k for
+    k >= 3 keeps every row.
     """
     if k <= 0 or k > complex_.dim:
         return SnfResult((), 0)

@@ -2,14 +2,17 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_oracle
+import uncontracted_oracle
 from lattice_oracle import brute_rank, is_parallel, smith_diagonal
 from pivot_oracle import eliminate_units
 from zncomplex.construction import build_x
@@ -169,6 +172,100 @@ def test_sparse_snf_against_sympy(monkeypatch):
     # Enough cases keep non-unit entries after unit elimination that the
     # remainder path runs.
     assert len(remainders) >= 40
+
+
+def contraction_case(rng, kinds):
+    """Sparse columns and a row count for sparse_snf's forest contraction.
+
+    The rows with two +-1 entries form forests, cycles and parallel rows on
+    one column pair.  A cycle counts in kinds as "cycle 0" when its signs
+    cancel once its other rows are contracted, and as "cycle 2" when they
+    leave +-2 (torsion, unless other rows reach it).  Two-entry rows with a
+    non-unit, rows of other weights, empty rows and empty columns are mixed
+    in, the rows are shuffled, and some columns hold an explicit zero.
+    """
+    width = rng.randint(0, 10)
+    rows = []
+
+    def unit():
+        return rng.choice((1, -1))
+
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.choice(("forest", "cycle", "parallel", "non-unit", "other",
+                           "empty") if width >= 2 else ("other", "empty"))
+        if kind in ("forest", "cycle"):
+            nodes = rng.sample(range(width), rng.randint(2, width))
+        if kind == "forest":
+            rows += [{nodes[t]: unit(), nodes[rng.randrange(t)]: unit()}
+                     for t in range(1, len(nodes))]
+        elif kind == "cycle":
+            # Contracting all but the last row leaves a +- a + -+ b there,
+            # which cancels exactly when the product of -a * b over the
+            # cycle is 1; the last b picks that product.
+            signs = [(unit(), unit()) for _ in nodes]
+            product = rng.choice((1, -1))
+            a = signs[-1][0]
+            signs[-1] = a, -product * a * prod(-a * b for a, b in signs[:-1])
+            kind = "cycle 0" if product == 1 else "cycle 2"
+            rows += [{nodes[t]: a, nodes[t - 1]: b} for t, (a, b) in enumerate(signs)]
+        elif kind == "parallel":
+            j, k = rng.sample(range(width), 2)
+            rows += [{j: unit(), k: unit()} for _ in range(rng.randint(2, 3))]
+        elif kind == "non-unit":
+            j, k = rng.sample(range(width), 2)
+            a, b = rng.choice(((1, 2), (2, -2), (-1, 3), (2, 1), (-3, -1)))
+            rows.append({j: a, k: b})
+        elif kind == "other" and width:
+            size = min(width, rng.choice((1, 3, 4)))
+            rows.append({c: rng.choice((1, -1, 2, -2, 3, -4))
+                         for c in rng.sample(range(width), size)})
+        else:
+            rows.append({})
+        kinds[kind] += 1
+    rows += [{}] * rng.randint(0, 2)
+    rng.shuffle(rows)
+    columns = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            columns[c][i] = v
+    if rows and width and rng.random() < 0.2:
+        columns[rng.randrange(width)].setdefault(rng.randrange(len(rows)), 0)
+    return columns, len(rows)
+
+
+def test_sparse_snf_contracts_a_spanning_forest_of_the_two_unit_rows():
+    # Seed 3011, 3000 cases, about 1 s.  The whole SnfResult matches the
+    # dense textbook oracle and unit elimination of the uncontracted matrix.
+    rng = random.Random(3011)
+    kinds = Counter()
+    for _ in range(3000):
+        columns, row_count = contraction_case(rng, kinds)
+        dense = [[col.get(i, 0) for col in columns] for i in range(row_count)]
+        result = sparse_snf(columns, row_count)
+        assert result == oracle_snf(dense), dense
+        assert result == uncontracted_oracle.sparse_snf(columns, row_count), dense
+    assert min(kinds[kind] for kind in ("forest", "cycle 0", "cycle 2", "parallel",
+                                        "non-unit", "other", "empty")) >= 300, kinds
+
+
+def test_sparse_snf_checks_entries_before_contracting():
+    # Each bad entry sits in a row the forest could take; the first fault in
+    # column order is named, with today's text.
+    cases = [
+        ([{0: 1}, {0: Fraction(1, 2)}], 1,
+         "entry Fraction(1, 2) at row 0, column 1 is not an integer"),
+        ([{0: 1, 1: -1}, {0: -1, 1: 0.5}], 2,
+         "entry 0.5 at row 1, column 1 is not an integer"),
+        ([{0: 1, 1: -1}, {1: 1, 2: 1}], 2, "row index 2 outside 0..1"),
+        ([{0: 1}, {0: -1, 5: 0}], 1, "row index 5 outside 0..0"),
+        ([{0: 1, 3: 1}, {0: 0.5}], 1, "row index 3 outside 0..0"),
+        ([{0: 0.5}, {0: 1, 3: 1}], 1, "entry 0.5 at row 0, column 0 is not an integer"),
+    ]
+    for columns, row_count, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sparse_snf(columns, row_count)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            uncontracted_oracle.sparse_snf(columns, row_count)
 
 
 def test_snf_without_units_against_sympy_and_oracle():

@@ -13,7 +13,7 @@ from euler_oracle import euler_characteristic
 from lattice_oracle import brute_rank, smith_diagonal
 from spur_oracle import are_compatible
 from validity_oracle import scan_violations
-from zncomplex import simplicial
+from zncomplex import intlinalg, simplicial
 from zncomplex.cli import main
 from zncomplex.errors import InvalidComplexError, ScxFormatError, SpurError
 from zncomplex.intlinalg import SnfResult, sparse_snf
@@ -649,6 +649,27 @@ def test_d2_reaches_sparse_snf_with_one_row_per_edge_outside_the_forest(
         components = reference_homology(complex_, 0).betti
         assert shapes == ([(triangles, edges - vertices + components)]
                           if triangles else [])
+
+
+def test_the_dual_forest_leaves_unit_elimination_no_entry_of_d2(monkeypatch):
+    # On d_2's cotree rows, every row but the m long ones has two +-1
+    # entries; sparse_snf contracts a spanning forest of them first.
+    calls = []
+
+    def spy(columns, row_count, record=False):
+        columns = list(columns)
+        calls.append((columns, row_count))
+        return real(columns, row_count, record)
+
+    real = intlinalg._eliminate_units
+    monkeypatch.setattr(intlinalg, "_eliminate_units", spy)
+    for m, complex_ in ((28, build_w(28)[0]), (28, build_x(28)), (48, build_x(48))):
+        calls.clear()
+        assert homology_through(complex_, 1)[1] == Homology(m)
+        # d_2 is the only map that reaches sparse_snf here.
+        (columns, row_count), = calls
+        assert row_count <= m
+        assert not any(v for column in columns for v in column.values())
 
 
 def test_validate_scans_once_for_verify_expect_rank(tmp_path, capsys,
