@@ -1,9 +1,9 @@
 """Exact integer linear algebra: Smith normal form, ranks, lattice bases.
 
 Everything here works with arbitrary-precision Python integers; there is no
-floating point.  Matrices are plain lists of lists (rows), except for
-sparse_snf, which takes sparse columns.  Two routines reduce matrices, and
-everything else calls one of them:
+floating point.  Matrices are lists of rows: plain lists, or sparse
+{column: entry} dicts for sparse_snf and _eliminate_units.  Two routines
+reduce matrices, and everything else calls one of them:
 
 - _eliminate_units takes out the unit pivots of a sparse matrix in
   Markowitz order, keyed by integers.  sparse_snf first contracts a
@@ -13,7 +13,7 @@ everything else calls one of them:
   graph's spanning forest, where the two-unit rows are the edges of the
   dual graph, d_k for k >= 3 on every row; d_1 is read off the graph's
   forest), the pipeline's rank checks and smith_normal_form, which hands
-  it the columns of a dense matrix.  presentation.abelian_images runs
+  it the rows of a dense matrix.  presentation.abelian_images runs
   _eliminate_units on its whole matrix, to log each eliminated generator.
 - echelon is integer row echelon form by Euclid, with its transform.  It
   diagonalizes what unit elimination leaves: _smith_diagonal alternates it
@@ -79,33 +79,32 @@ class SnfResult:
 def smith_normal_form(matrix) -> SnfResult:
     """Smith normal form over Z of a dense matrix (a list of rows).
 
-    The columns go to sparse_snf; a ragged matrix raises ValueError.
+    Its rows go to sparse_snf, without their zeros; a ragged matrix raises
+    ValueError.
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
+    n = len(matrix[0]) if matrix else 0
     for row in matrix:
         if len(row) != n:
             raise ValueError("ragged matrix")
-    return sparse_snf([{i: row[j] for i, row in enumerate(matrix) if row[j]}
-                       for j in range(n)], m)
+    return sparse_snf([{j: v for j, v in enumerate(row) if v} for row in matrix], n)
 
 
-def _eliminate_units(columns, row_count: int, record: bool = False):
+def _eliminate_units(rows, width: int, record: bool = False):
     """Eliminate the +-1 pivots of a sparse integer matrix in Markowitz order.
 
-    columns: any iterable of sparse columns, read once; column j maps a row
-    index in 0..row_count-1 to its entry, absent and zero entries zero; an
-    entry that is not an integer raises ValueError.  Every +-1 entry is a
-    candidate pivot, taken cheapest first by its Markowitz cost (row count
-    - 1) * (column count - 1), then by row and column: the integer key
-    cost * R * C + i * C + j, for R rows and C columns, orders as (cost, i, j).
-    The first keys are sorted once, into a list read from its end; a lazy
-    heap takes the later ones: a popped cost that has since grown is pushed
-    back with its current value, and +-1 fill-ins are pushed as they appear.
-    Each step takes the smaller head, so the pivots come in the order of one
-    heap of every candidate.  Eliminating a unit pivot p at (i, j) takes row
-    i and column j out and leaves the Schur complement a_rc - a_rj * p * a_ic
-    on the rest (Dumas, Saunders & Villard 2001).
+    rows: a list of sparse rows, which the elimination consumes: row i maps
+    a column index in 0..width-1 to a nonzero int, as sparse_snf leaves
+    them.  Every +-1 entry is a candidate pivot, taken cheapest first by its
+    Markowitz cost (row count - 1) * (column count - 1), then by row and
+    column: the integer key cost * R * C + i * C + j, for R rows and C
+    columns, orders as (cost, i, j).  The first keys are sorted once, into a
+    list read from its end; a lazy heap takes the later ones: a popped cost
+    that has since grown is pushed back with its current value, and +-1
+    fill-ins are pushed as they appear.  Each step takes the smaller head,
+    so the pivots come in the order of one heap of every candidate.
+    Eliminating a unit pivot p at (i, j) takes row i and column j out and
+    leaves the Schur complement a_rc - a_rj * p * a_ic on the rest (Dumas,
+    Saunders & Villard 2001).
 
     Returns (rows, cols, units, steps): the remainder as sparse rows and
     columns (eliminated ones empty), the number of pivots, and, when
@@ -117,22 +116,14 @@ def _eliminate_units(columns, row_count: int, record: bool = False):
     sparse_snf runs it only on what its spanning forest leaves, which for
     simplicial's d_2 on W_m and X_m is nothing.
     """
-    cols: list[dict[int, int]] = []
-    rows: list[dict[int, int]] = [{} for _ in range(row_count)]
-    for j, column in enumerate(columns):
-        col = {}
-        for i, v in column.items():
-            if not 0 <= i < row_count:
-                raise ValueError(f"row index {i} outside 0..{row_count - 1}")
-            if v:
-                if (n := int(v)) != v:
-                    raise ValueError(f"entry {v!r} at row {i}, column {j} is not an integer")
-                col[i] = rows[i][j] = n
-        cols.append(col)
+    cols: list[dict[int, int]] = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
 
-    width, size = len(cols), row_count * len(cols)
-    todo = sorted(((len(rows[i]) - 1) * (len(col) - 1) * size + i * width + j
-                   for j, col in enumerate(cols) for i, v in col.items()
+    size = len(rows) * width
+    todo = sorted(((len(row) - 1) * (len(cols[j]) - 1) * size + i * width + j
+                   for i, row in enumerate(rows) for j, v in row.items()
                    if v == 1 or v == -1), reverse=True)
     heap: list[int] = []
     units = 0
@@ -178,13 +169,15 @@ def _eliminate_units(columns, row_count: int, record: bool = False):
     return rows, cols, units, steps
 
 
-def sparse_snf(columns, row_count: int) -> SnfResult:
+def sparse_snf(rows, width: int) -> SnfResult:
     """Smith normal form of a sparse integer matrix, without transforms.
 
-    columns: any iterable of sparse columns, read once; column j maps a row
-    index in 0..row_count-1 to its entry, absent and zero entries zero; a
-    row index outside that range or an entry that is not an integer raises
-    ValueError, checked in the order and words of _eliminate_units.
+    rows: a list of sparse rows; row i maps a column index in 0..width-1
+    to its entry, absent entries zero.  The list is checked in place, in one
+    pass in row-major order: the first column index outside 0..width-1 or
+    entry that is not an integer raises ValueError; an integral entry that
+    is not an int (2.0, Fraction(4), True) is replaced by its int, and a
+    row that holds a zero by a copy without it.  A clean row is not copied.
 
     First a spanning forest F is contracted.  Read the rows with exactly
     two nonzero entries, both +-1, as edges of a graph on the columns (for
@@ -194,6 +187,7 @@ def sparse_snf(columns, row_count: int) -> SnfResult:
     sigma_c is column c's sign relative to its root.  Every other row stays,
     and each of its entries v in column c is added as sigma_c * v to c's
     root column; zero sums are dropped, and so are the rows left empty.
+    The remainder's columns are the roots left with an entry.
 
     |F| ones and the remainder's diagonal make the Smith diagonal, padded
     with zeros to min(rows, columns).  Replacing each root column by
@@ -214,17 +208,17 @@ def sparse_snf(columns, row_count: int) -> SnfResult:
     on its whole matrix, and also reads its images off echelon's kernel of
     the remainder.
     """
-    rows: list[dict[int, int]] = [{} for _ in range(row_count)]
-    width = 0
-    for column in columns:
-        for i, v in column.items():
-            if not 0 <= i < row_count:
-                raise ValueError(f"row index {i} outside 0..{row_count - 1}")
-            if v:
-                if (n := int(v)) != v:
-                    raise ValueError(f"entry {v!r} at row {i}, column {width} is not an integer")
-                rows[i][width] = n
-        width += 1
+    for i, row in enumerate(rows):
+        dirty = False
+        for j, v in row.items():
+            if not 0 <= j < width:
+                raise ValueError(f"column index {j} outside 0..{width - 1}")
+            if type(v) is not int or not v:
+                if int(v) != v:
+                    raise ValueError(f"entry {v!r} at row {i}, column {j} is not an integer")
+                dirty = True
+        if dirty:
+            rows[i] = {j: int(v) for j, v in row.items() if v}
 
     parent = list(range(width))
     sign = [1] * width  # relative to the parent; a root's is 1
@@ -254,23 +248,22 @@ def sparse_snf(columns, row_count: int) -> SnfResult:
         if row:
             kept.append(row)
 
-    remainder: dict[int, dict[int, int]] = {}
-    count = 0
+    roots: dict[int, int] = {}  # root column -> its column in the remainder
+    remainder = []
     for row in kept:
         sums: dict[int, int] = {}
         for c, v in row.items():
             root, s = find(c)
             sums[root] = sums.get(root, 0) + s * v
-        for root, v in sums.items():
-            if v:
-                remainder.setdefault(root, {})[count] = v
-        count += any(sums.values())
+        if out := {roots.setdefault(root, len(roots)): v
+                   for root, v in sums.items() if v}:
+            remainder.append(out)
 
-    rows, cols, units, _ = _eliminate_units(remainder.values(), count)
+    left, cols, units, _ = _eliminate_units(remainder, len(roots))
     live_cols = [j for j, col in enumerate(cols) if col]
-    rest = [[row.get(j, 0) for j in live_cols] for row in rows if row]
+    rest = [[row.get(j, 0) for j in live_cols] for row in left if row]
     nonzero = (1,) * (forest + units) + _smith_diagonal(rest)
-    limit = min(row_count, width)
+    limit = min(len(rows), width)
     return SnfResult(diagonal=nonzero + (0,) * (limit - len(nonzero)),
                      rank=len(nonzero))
 

@@ -22,7 +22,7 @@ from .presentation import (
     Presentation,
     SparsityPartition,
     abelian_images,
-    exponent_columns,
+    exponent_rows,
     maximal_sparse_subset,
     minimize,
     relations_on,
@@ -140,7 +140,7 @@ def _sized(name: str, pres: Presentation, rank: int,
 
 def _verify_rank(pres: Presentation, stage: str, expected: int) -> None:
     """Check that pres presents Z^expected, by a Smith form without transforms."""
-    snf = sparse_snf(exponent_columns(pres), len(pres.generators))
+    snf = sparse_snf(exponent_rows(pres), len(pres.relations))
     if snf.torsion:
         raise PipelineStageError(stage, f"torsion appeared: {snf.torsion}",
                                  witness=snf.torsion)

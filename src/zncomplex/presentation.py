@@ -208,27 +208,30 @@ class AbelianMap:
         return planes[support]
 
 
-def exponent_columns(pres: Presentation) -> list[dict[int, int]]:
-    """The exponent matrix as sparse columns: {generator index: sum} per relation.
+def exponent_rows(pres: Presentation) -> list[dict[int, int]]:
+    """The exponent matrix as sparse rows: {relation index: sum} per generator.
 
     The matrix is |S| x |R|: one row per generator, one column per relation.
+    Zero sums are dropped.
     """
-    index = {g: i for i, g in enumerate(pres.generators)}
-    columns = []
-    for rel in pres.relations:
-        column: dict[int, int] = {}
+    row_of = {g: {} for g in pres.generators}
+    for j, rel in enumerate(pres.relations):
         for g, e in rel:
-            column[index[g]] = column.get(index[g], 0) + e
-        columns.append(column)
-    return columns
+            row = row_of[g]
+            if v := row.get(j, 0) + e:
+                row[j] = v
+            else:
+                del row[j]
+    return list(row_of.values())
 
 
 def abelian_images(pres: Presentation) -> AbelianMap:
     """The map onto the free abelianization, by sparse unit elimination.
 
-    The abelianization is Z^{|S|} modulo the columns of the exponent matrix.
-    intlinalg._eliminate_units, the core sparse_snf shares, takes out one
-    generator per unit pivot and logs its substitution e_i = -p * sum(a_k
+    The abelianization is Z^{|S|} modulo the columns of the exponent matrix,
+    whose rows exponent_rows gives.  intlinalg._eliminate_units, the core
+    sparse_snf shares, consumes them, takes out one generator per unit
+    pivot and logs its substitution e_i = -p * sum(a_k
     e_k).  The generators left over are presented by the non-unit
     remainder R, which one echelon run reduces.  Its kernel, a saturated
     basis y_1..y_n of the integer left kernel, gives survivor s the image
@@ -243,7 +246,8 @@ def abelian_images(pres: Presentation) -> AbelianMap:
     Raises NotFreeAbelianError when an invariant factor exceeds one.
     """
     k = len(pres.generators)
-    rows, cols, _, steps = _eliminate_units(exponent_columns(pres), k, record=True)
+    rows, cols, _, steps = _eliminate_units(exponent_rows(pres), len(pres.relations),
+                                            record=True)
     eliminated = {i for i, _, _ in steps}
     survivors = [i for i in range(k) if i not in eliminated]
     live = [j for j, col in enumerate(cols) if col]

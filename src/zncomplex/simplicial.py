@@ -26,8 +26,8 @@ an edge of the dual graph on the triangles, and sparse_snf contracts a
 spanning forest of that graph before any elimination.  So the primal forest
 takes d_1 and the dual forest takes d_2, on W_m and X_m all of its rank
 (the tree-cotree decomposition, Eppstein 2003).  d_k for k >= 3 is reduced
-on every row.  Each column lists its face's facets by combinations;
-boundary_matrix is the dense rendering of the full map.
+on every row.  Each k-face writes its signs into its facets' sparse rows;
+boundary_matrix is the dense read of the full map.
 
 compatible_spurs checks a whole spur collection for pairwise compatibility
 in one scan of the members' neighbors.
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
 from operator import itemgetter, lt
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import InvalidComplexError, ScxFormatError, SpurError
 from .intlinalg import SnfResult, sparse_snf
@@ -241,44 +241,42 @@ def require_valid(complex_: SimplicialComplex) -> None:
         raise InvalidComplexError(report)
 
 
-def _boundary_columns(complex_: SimplicialComplex, k: int,
-                      rows: Iterable[Face] | None = None
-                      ) -> tuple[Iterator[dict[int, int]], int]:
-    """The boundary map from k-chains to (k-1)-chains, as sparse columns.
+def _boundary_rows(complex_: SimplicialComplex, k: int,
+                   kept: Iterable[Face] | None = None
+                   ) -> tuple[list[dict[int, int]], int]:
+    """The boundary map from k-chains to (k-1)-chains, as sparse rows.
 
-    Returns (columns, row count), where columns is a generator that builds
-    each column as it is read, so a reader that reads them once never holds
-    them all.  Rows are indexed by rows, the (k-1)-faces to keep (all of
-    them, sorted, by default), columns by the sorted k-faces; column j maps
-    each kept facet of k-face j to the usual alternating sign on sorted
-    vertex tuples, so dropped rows project the map.  combinations(f, k)
-    drops f's last vertex first, so the signs run (-1)^k .. (-1)^0.  For
-    k <= 0 there are no (k-1)-faces, so the map is zero and has no rows.
+    Returns (rows, width).  Rows are indexed by kept, the (k-1)-faces to
+    keep (all of them, sorted, by default), columns by the width sorted
+    k-faces; row i maps each k-face j that has kept face i as a facet to
+    the usual alternating sign on sorted vertex tuples, so dropped rows
+    project the map.  One pass over the k-faces writes each kept facet's
+    sign straight into its row.  combinations(f, k) drops f's last vertex
+    first, so the signs run (-1)^k .. (-1)^0.  For k <= 0 there are no
+    (k-1)-faces, so the map is zero and has no rows.
     """
     upper = complex_.faces_of_dim(k)
-    if rows is None:
-        rows = complex_.faces_of_dim(k - 1)
-    index = {f: i for i, f in enumerate(rows)}
+    if kept is None:
+        kept = complex_.faces_of_dim(k - 1)
+    rows: list[dict[int, int]] = [{} for _ in kept]
+    row_of = dict(zip(kept, rows))
     signs = [(-1) ** drop for drop in range(k, -1, -1)]
-    columns = ({i: sign for facet, sign in zip(combinations(f, k), signs)
-                if (i := index.get(facet)) is not None} for f in upper)
-    return columns, len(index)
+    for j, f in enumerate(upper):
+        for facet, sign in zip(combinations(f, k), signs):
+            if (row := row_of.get(facet)) is not None:
+                row[j] = sign
+    return rows, len(upper)
 
 
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> list[list[int]]:
     """Matrix of the boundary map from k-chains to (k-1)-chains.
 
-    The dense rows of _boundary_columns(complex_, k): rows are indexed by
-    the sorted (k-1)-faces, columns by the sorted k-faces.  For k = 0 the
-    map is zero (a 0 x n matrix).
+    The dense read of _boundary_rows(complex_, k): rows are indexed by the
+    sorted (k-1)-faces, columns by the sorted k-faces.  For k = 0 the map
+    is zero (a 0 x n matrix).
     """
-    streamed, row_count = _boundary_columns(complex_, k)
-    columns = list(streamed)
-    matrix = [[0] * len(columns) for _ in range(row_count)]
-    for j, column in enumerate(columns):
-        for i, v in column.items():
-            matrix[i][j] = v
-    return matrix
+    rows, width = _boundary_rows(complex_, k)
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -294,24 +292,25 @@ def _reduce_boundary(complex_: SimplicialComplex, k: int) -> SnfResult:
     is empty and nothing is built.  F is the complex's spanning forest.
     d_1, the signed incidence matrix of the graph, is totally unimodular, so
     its rank is the edge count of F and every nonzero invariant is 1.
-    sparse_snf reduces d_2 on the rows of the edges outside F, that is p d_2
-    for the projection p onto them.  An edge e outside F closes one cycle
-    with F, with coefficient +-1 on e and 0 on the other edges outside F.
-    These cycles are a basis of ker d_1, so p maps ker d_1, a direct summand
-    that holds im d_2, isomorphically onto its image.  Hence p d_2 has the
+    sparse_snf reduces d_2 on the rows of the edges outside F, the only rows
+    _boundary_rows builds for it, that is p d_2 for the projection p onto
+    them.  An edge e outside F closes one cycle with F, with coefficient
+    +-1 on e and 0 on the other edges outside F.  These cycles are a basis
+    of ker d_1, so p maps ker d_1, a direct summand that holds im d_2,
+    isomorphically onto its image.  Hence p d_2 has the
     nonzero invariants of d_2 and its cokernel is H_1, torsion included;
     only the trailing zeros differ.  The rows of p d_2 with two +-1 entries
     are the edges outside F that lie in two triangles: the dual graph's
     edges.  sparse_snf contracts a spanning forest of them, so the primal
     forest F takes d_1 and the dual forest takes d_2, up to what no forest
     reaches (on W_m and X_m, m rows whose entries all cancel).  d_k for
-    k >= 3 keeps every row.
+    k >= 3 is built on every row.
     """
     if k <= 0 or k > complex_.dim:
         return SnfResult((), 0)
     if k != 1:
-        rows = complex_._cotree if k == 2 else None
-        return sparse_snf(*_boundary_columns(complex_, k, rows))
+        kept = complex_._cotree if k == 2 else None
+        return sparse_snf(*_boundary_rows(complex_, k, kept))
     vertices, edges = complex_.faces_of_dim(0), complex_.faces_of_dim(1)
     rank = len(edges) - len(complex_._cotree)
     zeros = min(len(vertices), len(edges)) - rank

@@ -12,20 +12,18 @@ the row had none under "fill".
 from heapq import heapify, heappop, heappush
 
 
-def eliminate_units(columns, row_count, record=False, events=None):
-    """(rows, cols, units, steps), as intlinalg._eliminate_units documents."""
+def eliminate_units(rows, width, record=False, events=None):
+    """(rows, cols, units, steps), as intlinalg._eliminate_units documents.
+
+    It works on copies of the rows, so they stay as they were given.
+    """
     if events is None:
         events = {}
-    cols = []
-    rows = [{} for _ in range(row_count)]
-    for j, column in enumerate(columns):
-        col = {}
-        for i, v in column.items():
-            if not 0 <= i < row_count:
-                raise ValueError(f"row index {i} outside 0..{row_count - 1}")
-            if v:
-                col[i] = rows[i][j] = int(v)
-        cols.append(col)
+    rows = [dict(row) for row in rows]
+    cols = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
 
     heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j)
             for j, col in enumerate(cols) for i, v in col.items()

@@ -16,7 +16,7 @@ import uncontracted_oracle
 from lattice_oracle import brute_rank, is_parallel, smith_diagonal
 from pivot_oracle import eliminate_units
 from zncomplex.construction import build_x
-from zncomplex.presentation import exponent_columns, extract_presentation
+from zncomplex.presentation import exponent_rows, extract_presentation
 from zncomplex import intlinalg
 from zncomplex.intlinalg import (
     SnfResult,
@@ -137,9 +137,9 @@ def test_snf_rectangular_shapes():
 
 def test_sparse_snf_shapes():
     assert sparse_snf([], 0) == oracle_snf([]) == SnfResult((), 0)
-    assert sparse_snf([{}, {}], 3) == oracle_snf([[0, 0]] * 3)
+    assert sparse_snf([{}, {}, {}], 2) == oracle_snf([[0, 0]] * 3)
     assert sparse_snf([{0: 2}, {1: 3}], 2).diagonal == (1, 6)
-    assert sparse_snf([{0: 1, 1: -1}, {0: 0}], 2) == SnfResult((1, 0), 1)
+    assert sparse_snf([{0: 1, 1: 0}, {0: -1}], 2) == SnfResult((1, 0), 1)
     with pytest.raises(ValueError):
         sparse_snf([{2: 1}], 2)
 
@@ -161,10 +161,10 @@ def test_sparse_snf_against_sympy(monkeypatch):
     entries = (1, -1, 2, -2, 3, -4, 6, 9)
     for _ in range(80):
         m, n = rng.randint(1, 8), rng.randint(1, 8)
-        columns = [{i: rng.choice(entries) for i in range(m)
-                    if rng.random() < 0.4} for _ in range(n)]
-        dense = [[col.get(i, 0) for col in columns] for i in range(m)]
-        result = sparse_snf(columns, m)
+        rows = [{j: rng.choice(entries) for j in range(n)
+                 if rng.random() < 0.4} for _ in range(m)]
+        dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+        result = sparse_snf(rows, n)
         assert result == oracle_snf(dense), dense
         oracle = sympy_snf(sympy.Matrix(dense), domain=sympy.ZZ)
         assert result.diagonal == tuple(abs(oracle[i, i])
@@ -175,14 +175,14 @@ def test_sparse_snf_against_sympy(monkeypatch):
 
 
 def contraction_case(rng, kinds):
-    """Sparse columns and a row count for sparse_snf's forest contraction.
+    """Sparse rows and a width for sparse_snf's forest contraction.
 
     The rows with two +-1 entries form forests, cycles and parallel rows on
     one column pair.  A cycle counts in kinds as "cycle 0" when its signs
     cancel once its other rows are contracted, and as "cycle 2" when they
     leave +-2 (torsion, unless other rows reach it).  Two-entry rows with a
     non-unit, rows of other weights, empty rows and empty columns are mixed
-    in, the rows are shuffled, and some columns hold an explicit zero.
+    in, the rows are shuffled, and some rows hold an explicit zero.
     """
     width = rng.randint(0, 10)
     rows = []
@@ -222,15 +222,12 @@ def contraction_case(rng, kinds):
         else:
             rows.append({})
         kinds[kind] += 1
-    rows += [{}] * rng.randint(0, 2)
+    rows += [{} for _ in range(rng.randint(0, 2))]
     rng.shuffle(rows)
-    columns = [{} for _ in range(width)]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            columns[c][i] = v
     if rows and width and rng.random() < 0.2:
-        columns[rng.randrange(width)].setdefault(rng.randrange(len(rows)), 0)
-    return columns, len(rows)
+        j, i = rng.randrange(width), rng.randrange(len(rows))
+        rows[i].setdefault(j, 0)
+    return rows, width
 
 
 def test_sparse_snf_contracts_a_spanning_forest_of_the_two_unit_rows():
@@ -239,33 +236,64 @@ def test_sparse_snf_contracts_a_spanning_forest_of_the_two_unit_rows():
     rng = random.Random(3011)
     kinds = Counter()
     for _ in range(3000):
-        columns, row_count = contraction_case(rng, kinds)
-        dense = [[col.get(i, 0) for col in columns] for i in range(row_count)]
-        result = sparse_snf(columns, row_count)
+        rows, width = contraction_case(rng, kinds)
+        dense = [[row.get(j, 0) for j in range(width)] for row in rows]
+        result = sparse_snf(rows, width)
         assert result == oracle_snf(dense), dense
-        assert result == uncontracted_oracle.sparse_snf(columns, row_count), dense
+        assert result == uncontracted_oracle.sparse_snf(rows, width), dense
     assert min(kinds[kind] for kind in ("forest", "cycle 0", "cycle 2", "parallel",
                                         "non-unit", "other", "empty")) >= 300, kinds
 
 
 def test_sparse_snf_checks_entries_before_contracting():
     # Each bad entry sits in a row the forest could take; the first fault in
-    # column order is named, with today's text.
+    # row order is named, with today's text.
     cases = [
-        ([{0: 1}, {0: Fraction(1, 2)}], 1,
+        ([{0: 1, 1: Fraction(1, 2)}], 2,
          "entry Fraction(1, 2) at row 0, column 1 is not an integer"),
         ([{0: 1, 1: -1}, {0: -1, 1: 0.5}], 2,
          "entry 0.5 at row 1, column 1 is not an integer"),
-        ([{0: 1, 1: -1}, {1: 1, 2: 1}], 2, "row index 2 outside 0..1"),
-        ([{0: 1}, {0: -1, 5: 0}], 1, "row index 5 outside 0..0"),
-        ([{0: 1, 3: 1}, {0: 0.5}], 1, "row index 3 outside 0..0"),
+        ([{0: 1, 1: -1}, {1: 1, 2: 1}], 2, "column index 2 outside 0..1"),
+        ([{0: 1}, {0: -1, 5: 0}], 1, "column index 5 outside 0..0"),
+        ([{0: 1, 3: 1}, {0: 0.5}], 1, "column index 3 outside 0..0"),
         ([{0: 0.5}, {0: 1, 3: 1}], 1, "entry 0.5 at row 0, column 0 is not an integer"),
+        # column order would name row 1's entry first
+        ([{0: 1, 1: 0.5}, {0: Fraction(1, 2), 1: 1}], 2,
+         "entry 0.5 at row 0, column 1 is not an integer"),
     ]
-    for columns, row_count, message in cases:
+    for rows, width, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            sparse_snf(columns, row_count)
+            sparse_snf(rows, width)
         with pytest.raises(ValueError, match=re.escape(message)):
-            uncontracted_oracle.sparse_snf(columns, row_count)
+            uncontracted_oracle.sparse_snf(rows, width)
+    # Integral entries that are not ints, and explicit zeros, inside two-unit
+    # rows: each becomes an int, or is dropped, in the list itself.
+    cases = [
+        ([{0: 1.0, 1: -1}, {1: True, 2: -1}, {0: Fraction(-1), 1: 0, 2: 1}], 3),
+        ([{0: 1, 1: 0, 2: -1}, {0: 2.0, 2: Fraction(4)}, {1: 0}], 3),
+        ([{0: -1.0, 1: 1.0}, {0: 1, 1: 1, 2: 0}, {0: 3, 1: 0.0}], 3),
+    ]
+    for rows, width in cases:
+        dense = [[int(row.get(j, 0)) for j in range(width)] for row in rows]
+        result = sparse_snf(rows, width)
+        assert result == oracle_snf(dense) == uncontracted_oracle.sparse_snf(rows, width)
+        assert all(type(d) is int for d in result.diagonal), result
+        assert [[row.get(j, 0) for j in range(width)] for row in rows] == dense
+        assert all(type(v) is int and v for row in rows for v in row.values()), rows
+
+
+def test_sparse_snf_reads_clean_rows_without_copying_them():
+    rng = random.Random(3019)
+    read = 0
+    for _ in range(300):
+        rows, width = contraction_case(rng, Counter())
+        if any(0 in row.values() for row in rows):
+            continue
+        ids = [id(row) for row in rows]
+        sparse_snf(rows, width)
+        assert [id(row) for row in rows] == ids
+        read += len(rows)
+    assert read >= 1000, read
 
 
 def test_snf_without_units_against_sympy_and_oracle():
@@ -279,10 +307,10 @@ def test_snf_without_units_against_sympy_and_oracle():
     shapes += [(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(40)]
     for k, (m, n) in enumerate(shapes):
         density = 0 if k == 3 else rng.random()
-        columns = [{i: rng.choice((2, -2, 3, 4, -6, 9)) for i in range(m)
-                    if rng.random() < density} for _ in range(n)]
-        matrix = [[col.get(i, 0) for col in columns] for i in range(m)]
-        result = sparse_snf(columns, m)
+        rows = [{j: rng.choice((2, -2, 3, 4, -6, 9)) for j in range(n)
+                 if rng.random() < density} for _ in range(m)]
+        matrix = [[row.get(j, 0) for j in range(n)] for row in rows]
+        result = sparse_snf(rows, n)
         assert len(result.diagonal) == min(m, n)
         assert result == smith_normal_form(matrix) == oracle_snf(matrix), matrix
         if m and n:
@@ -571,7 +599,7 @@ def test_snf_rejects_entries_that_are_not_integers():
         with pytest.raises(ValueError, match=re.escape(message)):
             smith_normal_form(matrix)
         with pytest.raises(ValueError, match="is not an integer"):
-            sparse_snf([{0: v} for v in matrix[0]], 1)
+            sparse_snf([dict(enumerate(matrix[0]))], len(matrix[0]))
     # integral entries of any type are read as today
     assert smith_normal_form([[2.0, Fraction(4)], [True, 3]]).diagonal == (1, 2)
 
@@ -579,17 +607,17 @@ def test_snf_rejects_entries_that_are_not_integers():
 def test_unit_elimination_pops_the_pivots_of_one_tuple_heap():
     for m in (2, 7, 12, 28):
         pres = extract_presentation(build_x(m), 0)
-        k = len(pres.generators)
-        assert (_eliminate_units(exponent_columns(pres), k, record=True)
-                == eliminate_units(exponent_columns(pres), k, record=True))
+        width = len(pres.relations)
+        assert (_eliminate_units(exponent_rows(pres), width, record=True)
+                == eliminate_units(exponent_rows(pres), width, record=True))
     rng = random.Random(4242)
     events = {}
     for _ in range(2000):
-        rows, width, density = rng.randint(0, 9), rng.randint(0, 9), rng.random()
-        columns = [{i: rng.choice((-2, -1, 1, 2, 3)) for i in range(rows)
-                    if rng.random() < density} for _ in range(width)]
+        height, width, density = rng.randint(0, 9), rng.randint(0, 9), rng.random()
+        rows = [{j: rng.choice((-2, -1, 1, 2, 3)) for j in range(width)
+                 if rng.random() < density} for _ in range(height)]
         record = rng.random() < 0.5
-        assert (_eliminate_units(columns, rows, record)
-                == eliminate_units(columns, rows, record, events)), columns
+        assert (_eliminate_units([dict(row) for row in rows], width, record)
+                == eliminate_units(rows, width, record, events)), rows
     # the later pushes, which go to the heap, both occur in the sample
     assert events["fill"] >= 20 and events["regrown"] >= 20

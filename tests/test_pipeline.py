@@ -141,9 +141,9 @@ def spy_on_checks(monkeypatch):
     checked = []
     real = zncomplex.pipeline.sparse_snf
 
-    def spy(columns, row_count):
-        checked.append(row_count)
-        return real(columns, row_count)
+    def spy(rows, width):
+        checked.append(len(rows))
+        return real(rows, width)
 
     monkeypatch.setattr(zncomplex.pipeline, "sparse_snf", spy)
     return checked

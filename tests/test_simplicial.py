@@ -24,7 +24,7 @@ from zncomplex.simplicial import (
     MAX_SCX_CLOSURE,
     Homology,
     SimplicialComplex,
-    _boundary_columns,
+    _boundary_rows,
     _reduce_boundary,
     boundary_matrix,
     closure_of,
@@ -226,7 +226,7 @@ def test_d1_spanning_forest_matches_sparse_snf():
     complexes += [random_complex(rng) for _ in range(100)]
     shapes = set()
     for complex_ in complexes:
-        expected = sparse_snf(*_boundary_columns(complex_, 1))
+        expected = sparse_snf(*_boundary_rows(complex_, 1))
         assert _reduce_boundary(complex_, 1) == expected
         vertices = complex_.face_counts()[0] if complex_.faces else 0
         shapes.add((expected.rank == 0, expected.rank < vertices - 1))
@@ -628,10 +628,9 @@ def test_d2_reaches_sparse_snf_with_one_row_per_edge_outside_the_forest(
         monkeypatch):
     shapes = []
 
-    def spy(columns, row_count):
-        columns = list(columns)
-        shapes.append((len(columns), row_count))
-        return sparse_snf(columns, row_count)
+    def spy(rows, width):
+        shapes.append((width, len(rows)))
+        return sparse_snf(rows, width)
 
     monkeypatch.setattr(simplicial, "sparse_snf", spy)
     rng = random.Random(17)
@@ -656,10 +655,9 @@ def test_the_dual_forest_leaves_unit_elimination_no_entry_of_d2(monkeypatch):
     # entries; sparse_snf contracts a spanning forest of them first.
     calls = []
 
-    def spy(columns, row_count, record=False):
-        columns = list(columns)
-        calls.append((columns, row_count))
-        return real(columns, row_count, record)
+    def spy(rows, width, record=False):
+        calls.append(([dict(row) for row in rows], width))
+        return real(rows, width, record)
 
     real = intlinalg._eliminate_units
     monkeypatch.setattr(intlinalg, "_eliminate_units", spy)
@@ -667,9 +665,9 @@ def test_the_dual_forest_leaves_unit_elimination_no_entry_of_d2(monkeypatch):
         calls.clear()
         assert homology_through(complex_, 1)[1] == Homology(m)
         # d_2 is the only map that reaches sparse_snf here.
-        (columns, row_count), = calls
-        assert row_count <= m
-        assert not any(v for column in columns for v in column.values())
+        (rows, width), = calls
+        assert len(rows) <= m
+        assert not any(v for row in rows for v in row.values())
 
 
 def test_validate_scans_once_for_verify_expect_rank(tmp_path, capsys,

@@ -9,12 +9,26 @@ return the same SnfResult, since the Smith diagonal is unique.
 from zncomplex.intlinalg import SnfResult, _eliminate_units, _smith_diagonal
 
 
-def sparse_snf(columns, row_count):
-    """SnfResult of the sparse columns, as intlinalg.sparse_snf documents."""
-    rows, cols, units, _ = _eliminate_units(columns, row_count)
+def sparse_snf(rows, width):
+    """SnfResult of the sparse rows, as intlinalg.sparse_snf documents.
+
+    It checks and reads copies of the rows, so they stay as they were given.
+    """
+    clean = []
+    for i, row in enumerate(rows):
+        read = {}
+        for j, v in row.items():
+            if not 0 <= j < width:
+                raise ValueError(f"column index {j} outside 0..{width - 1}")
+            if v:
+                if int(v) != v:
+                    raise ValueError(f"entry {v!r} at row {i}, column {j} is not an integer")
+                read[j] = int(v)
+        clean.append(read)
+    left, cols, units, _ = _eliminate_units(clean, width)
     live_cols = [j for j, col in enumerate(cols) if col]
-    rest = [[row.get(j, 0) for j in live_cols] for row in rows if row]
+    rest = [[row.get(j, 0) for j in live_cols] for row in left if row]
     nonzero = (1,) * units + _smith_diagonal(rest)
-    limit = min(row_count, len(cols))
+    limit = min(len(rows), width)
     return SnfResult(diagonal=nonzero + (0,) * (limit - len(nonzero)),
                      rank=len(nonzero))
